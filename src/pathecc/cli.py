@@ -3,7 +3,10 @@
 Graphs are accepted either as files (edge-list format with an 'n m' header,
 or graph6 lines) or as literal graph6 strings.  Exit codes: 0 on success,
 1 when a property violation or counterexample was found, 2 on usage or
-parse errors.
+parse errors, on a hunt that checked no graph, and on any unexpected error
+(reported in one line on stderr, never as a traceback).
+
+Run as ``pathecc ...`` or ``python -m pathecc.cli ...``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .asteroidal import KatWitness, find_k_at, is_k_at, min_k_at_free
@@ -286,6 +290,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "hunt":
             graphs, name = _load_corpus(args.corpus)
             result = hunt_conjecture(graphs, corpus_name=name)
+            if result.checked == 0:
+                raise CliError(
+                    f"hunt checked no graph: all {result.searched} in {name} are "
+                    f"oversized or disconnected"
+                )
+            if result.skipped:
+                print(f"pathecc: hunt skipped {result.skipped} of {result.searched} "
+                      f"graphs (oversized or disconnected)", file=sys.stderr)
             ce = result.counterexample
             _emit({
                 "schema": SCHEMA,
@@ -306,7 +318,16 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"pathecc: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means "violation found", so never let one escape
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"pathecc: internal error: {type(exc).__name__}: {exc} "
+              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:  # pragma: no cover - console entry point
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":  # pragma: no cover - python -m pathecc.cli
+    main()

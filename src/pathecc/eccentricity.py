@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from .graphs import (
     Graph,
-    _adj_masks,
     _ecc_of_mask,
     _mask_of,
     _reach_mask,
@@ -60,7 +59,7 @@ def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
     """
     _check_search_input(g, max_n, "pe_exact")
     n = g.n
-    masks = _adj_masks(g)
+    masks = g.adj_masks
     best: Optional[int] = None
     best_path: Optional[tuple[int, ...]] = None
     path: list[int] = []

@@ -176,36 +176,53 @@ def random_gnp(n: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# integer parameters of each fixed-arity family, by name, in call order
+_FAMILY_BUILDERS = {
+    "subdivided_claw": (subdivided_claw, ("k",)),
+    "cycle": (cycle, ("length",)),
+    "path": (path_graph, ("n",)),
+    "clique": (clique, ("n",)),
+    "ladder_k4": (ladder_k4, ("k",)),
+    "fig_example_a": (fig_example_a, ()),
+    "fig_example_b": (fig_example_b, ()),
+    "fig_example_c": (fig_example_c, ()),
+    "fig_biconvex": (fig_biconvex, ()),
+}
+
+
+def _integral(family: str, what: str, x: float) -> int:
+    if not float(x).is_integer():
+        raise ValueError(f"{family}: {what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a family spec describes; exhaustive specs are streams."""
+    """Build the graph a family spec describes; exhaustive specs are streams.
+
+    The parameter count must match the family, and count parameters must
+    be integral (5.0 is accepted, 5.7 is not); anything else raises
+    ValueError.
+    """
     name, params = spec.name, spec.params
-    ints = [int(x) for x in params]
-    if name == "subdivided_claw":
-        return subdivided_claw(*ints)
-    if name == "cycle":
-        return cycle(*ints)
-    if name == "path":
-        return path_graph(*ints)
-    if name == "clique":
-        return clique(*ints)
-    if name == "ladder_k4":
-        return ladder_k4(*ints)
-    if name == "fig_example_a":
-        return fig_example_a()
-    if name == "fig_example_b":
-        return fig_example_b()
-    if name == "fig_example_c":
-        return fig_example_c()
-    if name == "fig_biconvex":
-        return fig_biconvex()
     if name == "random_gnp":
-        n = int(params[0])
-        p = float(params[1])
-        seed = int(params[2]) if len(params) > 2 else 0
-        return random_gnp(n, p, seed)
+        if len(params) not in (2, 3):
+            raise ValueError(
+                f"random_gnp takes 2 or 3 parameters (n, p[, seed]), got {len(params)}"
+            )
+        n = _integral(name, "n", params[0])
+        seed = _integral(name, "seed", params[2]) if len(params) == 3 else 0
+        return random_gnp(n, float(params[1]), seed)
     if name == "exhaustive":
         raise ValueError("exhaustive specs describe a stream; use enumerate_connected")
-    raise ValueError(f"unknown family {name!r}")
+    if name not in _FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {name!r}")
+    build, names = _FAMILY_BUILDERS[name]
+    if len(params) != len(names):
+        raise ValueError(
+            f"{name} takes {len(names)} parameter(s) ({', '.join(names) or 'none'}), "
+            f"got {len(params)}"
+        )
+    return build(*(_integral(name, what, x) for what, x in zip(names, params)))
 
 
 # --- graph6 ----------------------------------------------------------------

@@ -7,7 +7,7 @@ construction, so values can be shared freely, hashed, and memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -37,6 +37,15 @@ class Graph:
             sets[v].add(u)
         return cls(n, tuple(frozenset(s) for s in sets))
 
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """``adj_masks[v]`` is the neighbor set of ``v`` as a bitmask.
+
+        Computed on first use and stored on the instance, so it lives and
+        dies with the graph; equality and hashing stay over ``(n, adj)``.
+        """
+        return tuple(sum(1 << u for u in self.adj[v]) for v in range(self.n))
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
@@ -65,14 +74,9 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
-# Bitmask adjacency is the hot-path representation: BFS layers become a few
-# integer operations, which matters once the harness grinds through
-# thousands of small graphs.
-
-@lru_cache(maxsize=None)
-def _adj_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n))
-
+# Bitmask adjacency (Graph.adj_masks) is the hot-path representation: BFS
+# layers become a few integer operations, which matters once the harness
+# grinds through thousands of small graphs.
 
 def _expand(masks: Sequence[int], frontier: int) -> int:
     out = 0
@@ -85,7 +89,7 @@ def _expand(masks: Sequence[int], frontier: int) -> int:
 
 def _grow_mask(g: Graph, seed: int, k: Optional[int] = None) -> int:
     """Vertices within distance k of the seed set (all reachable if k is None)."""
-    masks = _adj_masks(g)
+    masks = g.adj_masks
     seen = seed
     frontier = seed
     steps = 0
@@ -98,7 +102,7 @@ def _grow_mask(g: Graph, seed: int, k: Optional[int] = None) -> int:
 
 def _reach_mask(g: Graph, start: int, allowed: int) -> int:
     """Vertices reachable from start inside the allowed mask (start included)."""
-    masks = _adj_masks(g)
+    masks = g.adj_masks
     seen = (1 << start) & allowed
     frontier = seen
     while frontier:
@@ -109,7 +113,7 @@ def _reach_mask(g: Graph, start: int, allowed: int) -> int:
 
 def _ecc_of_mask(g: Graph, seed: int) -> Optional[int]:
     """Max distance from any vertex to the seed set; None if something is unreachable."""
-    masks = _adj_masks(g)
+    masks = g.adj_masks
     full = (1 << g.n) - 1
     seen = seed
     frontier = seed

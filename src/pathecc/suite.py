@@ -73,6 +73,11 @@ class HuntResult:
     searched: int
     with_witness: int
     counterexample: Optional[Counterexample]
+    skipped: int  # oversized or disconnected, so never checked
+
+    @property
+    def checked(self) -> int:
+        return self.searched - self.skipped
 
 
 class _GraphCase:
@@ -256,11 +261,17 @@ def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, object]]
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("CPK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker processes from CPK_THREADS: 1 when unset, else a positive integer."""
+    raw = os.environ.get("CPK_THREADS")
+    if raw is None:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CPK_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_property_suite(
@@ -312,13 +323,16 @@ def hunt_conjecture(
     """Look for a connected graph with an ordering witness yet pe >= 2.
 
     Records the first hit, re-verified on both sides before being reported;
-    finding none leaves the conjectured bound standing on this corpus.
+    finding none leaves the conjectured bound standing on the graphs that
+    were checked.  Oversized and disconnected graphs are counted as skipped.
     """
     searched = 0
+    skipped = 0
     with_witness = 0
     for g in corpus:
         searched += 1
         if g.n > min(PE_MAX_N, STAR_MAX_N) or not is_connected(g):
+            skipped += 1
             continue
         witness = find_star_c1p(g)
         if witness is None:
@@ -331,5 +345,6 @@ def hunt_conjecture(
                 searched,
                 with_witness,
                 Counterexample(emit_graph6(g), witness, result.value, result.witness),
+                skipped,
             )
-    return HuntResult(searched, with_witness, None)
+    return HuntResult(searched, with_witness, None, skipped)

@@ -161,6 +161,40 @@ def brute_has_kat(g: Graph, k: int) -> bool:
     return False
 
 
+def reference_find_k_at(g: Graph, k: int):
+    """First k-AT witness by running is_k_at on every triple in lex order."""
+    from pathecc.asteroidal import is_k_at
+
+    for trip in combinations(range(g.n), 3):
+        w = is_k_at(g, trip, k)
+        if w is not None:
+            return w
+    return None
+
+
+def reference_min_k_at_free(g: Graph) -> int:
+    """Smallest k >= 1 whose reference triple scan finds nothing."""
+    k = 1
+    while reference_find_k_at(g, k) is not None:
+        k += 1
+    return k
+
+
+def seeded_connected_gnp(n: int, seed: int) -> Graph:
+    """First connected draw of G(n, 3/n) from a seeded generator."""
+    import random
+
+    from pathecc.graphs import is_connected
+
+    rng = random.Random(seed)
+    while True:
+        g = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+        )
+        if is_connected(g):
+            return g
+
+
 # --- shared corpora -----------------------------------------------------------
 
 @pytest.fixture(scope="session")

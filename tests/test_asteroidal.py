@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_has_kat, graph_strategy
+from conftest import (
+    brute_has_kat,
+    graph_strategy,
+    reference_find_k_at,
+    reference_min_k_at_free,
+    seeded_connected_gnp,
+)
 from pathecc.asteroidal import (
     KatWitness,
     find_k_at,
@@ -137,3 +143,30 @@ def test_verify_kat_rejects_garbage():
     assert not verify_kat(g, bad)
     bad2 = KatWitness(good.triple, 1, (good.paths[0], good.paths[1], (4, 0, 6)))
     assert not verify_kat(g, bad2)
+
+
+@given(graph_strategy(max_n=9), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_find_k_at_matches_reference_scan(g, k):
+    # the same triple and the same three paths, not just the same existence
+    assert find_k_at(g, k) == reference_find_k_at(g, k)
+
+
+@given(graph_strategy(max_n=9, connected=True))
+@settings(max_examples=100, deadline=None)
+def test_min_k_at_free_matches_reference_levels(g):
+    assert min_k_at_free(g) == reference_min_k_at_free(g)
+
+
+@pytest.mark.parametrize("n", range(20, 31))
+def test_component_labels_match_reference_on_sparse_gnp(n):
+    g = seeded_connected_gnp(n, seed=n)
+    for k in (1, 2, 3, 4):
+        assert find_k_at(g, k) == reference_find_k_at(g, k)
+    assert min_k_at_free(g) == reference_min_k_at_free(g)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_find_k_at_rejects_level_zero_at_every_size(n):
+    with pytest.raises(ValueError):
+        find_k_at(path_graph(n) if n else Graph.from_edges(0), 0)

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import pathecc.cli
 from pathecc.cli import cli_main
-from pathecc.families import emit_graph6, fig_example_c, subdivided_claw
+from pathecc.families import clique, emit_graph6, fig_example_c, subdivided_claw
 from pathecc.graphs import format_edge_list
 from pathecc.pqtree import format_matrix
 from pathecc.families import FIG_A_ADJACENCY
@@ -151,3 +158,69 @@ def test_usage_and_parse_errors(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_module_entry_point_prints_json():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathecc.cli", "pe", "FkE?G"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pe"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "cycle"),
+        ("gen", "random_gnp", "5"),
+        ("gen", "cycle", "5.7"),
+        ("suite", "gen:cycle", "--props", "theorem1"),
+        ("hunt", "gen:cycle"),
+    ],
+)
+def test_bad_family_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("pathecc: ") and len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_error_exits_2_in_one_line(capsys, monkeypatch):
+    def broken(g):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(pathecc.cli, "pe_exact", broken)
+    code, out, err = run(capsys, "pe", "FkE?G")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "internal error: KeyError" in err and "Traceback" not in err
+
+
+def test_hunt_with_nothing_checked_exits_2(capsys):
+    code, out, err = run(capsys, "hunt", "gen:clique:13")
+    assert code == 2 and out == ""
+    assert "checked no graph" in err
+
+
+def test_hunt_notes_skipped_graphs_on_stderr(tmp_path, capsys):
+    f = tmp_path / "corpus.g6"
+    f.write_text(emit_graph6(fig_example_c()) + "\n" + emit_graph6(clique(13)) + "\n")
+    code, doc, err = run_json(capsys, "hunt", str(f))
+    assert code == 0 and doc["searched"] == 2 and doc["with_witness"] == 1
+    assert "skipped 1 of 2" in err and len(err.strip().splitlines()) == 1
+
+
+def test_hunt_on_fully_checked_corpus_is_silent(capsys):
+    code, doc, err = run_json(capsys, "hunt", "exhaustive:4")
+    assert code == 0 and err == ""
+    assert set(doc) == {"schema", "command", "corpus", "searched", "with_witness",
+                        "counterexample"}
+
+
+def test_invalid_worker_count_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CPK_THREADS", "abc")
+    code, out, err = run(capsys, "suite", "gen:cycle:5", "--props", "theorem1")
+    assert code == 2 and out == "" and "CPK_THREADS" in err

@@ -91,6 +91,29 @@ def test_generate_dispatch():
         generate(FamilySpec("exhaustive", (4,)))
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (FamilySpec("cycle"), "takes 1 parameter"),
+        (FamilySpec("cycle", (5, 6)), "takes 1 parameter"),
+        (FamilySpec("fig_example_a", (1,)), "takes 0 parameter"),
+        (FamilySpec("random_gnp", (5,)), "takes 2 or 3 parameters"),
+        (FamilySpec("random_gnp", (5, 0.5, 1, 2)), "takes 2 or 3 parameters"),
+        (FamilySpec("cycle", (5.7,)), "must be an integer"),
+        (FamilySpec("random_gnp", (5.5, 0.5)), "must be an integer"),
+        (FamilySpec("random_gnp", (5, 0.5, 0.25)), "must be an integer"),
+    ],
+)
+def test_generate_checks_arity_and_integral_counts(spec, message):
+    with pytest.raises(ValueError, match=message):
+        generate(spec)
+
+
+def test_generate_accepts_integral_floats():
+    assert generate(FamilySpec("cycle", (5.0,))) == cycle(5)
+    assert generate(FamilySpec("random_gnp", (6.0, 0.5))) == random_gnp(6, 0.5)
+
+
 def test_random_gnp_is_seeded():
     assert random_gnp(8, 0.4, 7) == random_gnp(8, 0.4, 7)
     assert random_gnp(8, 0.0).num_edges() == 0

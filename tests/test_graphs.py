@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_induced_cycles, graph_strategy
+from pathecc.eccentricity import pe_exact
 from pathecc.families import cycle, fig_example_a, fig_example_c, ladder_k4, path_graph
 from pathecc.graphs import (
     Graph,
@@ -165,3 +169,19 @@ def test_edge_list_roundtrip():
 def test_edge_list_parse_errors(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+def test_graph_is_collected_after_mask_searches():
+    g = cycle(7)
+    assert is_connected(g) and pe_exact(g).value == 0  # a Hamiltonian path
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_adjacency_masks_leave_equality_and_hash_alone():
+    g, h = cycle(5), cycle(5)
+    assert g.adj_masks == (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
+    assert g == h and hash(g) == hash(h)
+    assert "adj_masks" in vars(g) and "adj_masks" not in vars(h)

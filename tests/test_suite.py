@@ -4,8 +4,10 @@ import pytest
 
 from pathecc.families import cycle, enumerate_connected, fig_example_c, subdivided_claw
 from pathecc.graphs import Graph
+from pathecc.families import clique
 from pathecc.suite import (
     PROPERTIES,
+    _worker_count,
     hunt_conjecture,
     run_property_suite,
 )
@@ -129,3 +131,21 @@ def test_hunt_would_report_and_verify():
     result = hunt_conjecture([subdivided_claw(2)])
     assert result.with_witness == 0
     assert result.counterexample is None
+
+
+def test_hunt_counts_skipped_graphs():
+    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    result = hunt_conjecture([fig_example_c(), clique(13), disconnected])
+    assert result.searched == 3 and result.skipped == 2 and result.checked == 1
+    assert result.with_witness == 1 and result.counterexample is None
+
+
+def test_worker_count_from_environment(monkeypatch):
+    monkeypatch.delenv("CPK_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("CPK_THREADS", "3")
+    assert _worker_count() == 3
+    for bad in ("abc", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("CPK_THREADS", bad)
+        with pytest.raises(ValueError, match="CPK_THREADS"):
+            _worker_count()
