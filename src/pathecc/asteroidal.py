@@ -15,7 +15,6 @@ that is reported.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,6 +23,7 @@ from .graphs import (
     _check_vertices,
     _grow_mask,
     _reach_mask,
+    _shortest_path,
     is_connected,
     is_path,
     neighborhood_k,
@@ -38,30 +38,6 @@ class KatWitness:
     k: int
     # paths join the sorted-triple pairs in order: (a,b), (a,c), (b,c)
     paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _avoiding_path(
-    g: Graph, src: int, dst: int, forbidden: frozenset[int]
-) -> Optional[tuple[int, ...]]:
-    """Shortest src-dst path inside V minus forbidden; deterministic parents."""
-    if src in forbidden or dst in forbidden:
-        return None
-    parent: dict[int, Optional[int]] = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            out = []
-            cur: Optional[int] = dst
-            while cur is not None:
-                out.append(cur)
-                cur = parent[cur]
-            return tuple(reversed(out))
-        for x in sorted(g.adj[u]):
-            if x not in forbidden and x not in parent:
-                parent[x] = u
-                queue.append(x)
-    return None
 
 
 def is_k_at(g: Graph, triple: Iterable[int], k: int) -> Optional[KatWitness]:
@@ -80,7 +56,7 @@ def is_k_at(g: Graph, triple: Iterable[int], k: int) -> Optional[KatWitness]:
     a, b, c = trip
     paths = []
     for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-        path = _avoiding_path(g, x, y, neighborhood_k(g, (z,), k))
+        path = _shortest_path(g, x, y, _grow_mask(g, 1 << z, k))
         if path is None:
             return None
         paths.append(path)

@@ -1,24 +1,34 @@
 """Constructive dichotomy: a path of eccentricity at most k, or a verified k-AT.
 
-The improvement loop grows a path until it covers the whole graph within
-distance k.  Each round it picks the worst uncovered vertex w and either
-extends the path to absorb w, trims a redundant extremity, or extracts a
-triple {u', v', w} whose pairwise connections provably dodge each other's
-distance-k neighborhoods.  Because the loop starts from a greedy seed
-rather than a global coverage maximizer, every emitted certificate is
-re-verified and a complete fallback (exhaustive improving-path search,
-then the ground-truth oracles) guarantees the returned side is correct.
+The witness side is decided first: :func:`~pathecc.asteroidal.find_k_at`
+either returns a k-AT, which is the answer, or shows that g is k-AT-free.
+In the second case the improvement loop builds the path.  It grows a
+greedy seed path until the path covers the whole graph within distance k.
+Each round it picks the worst uncovered vertex w and either extends the
+path to absorb w or trims a redundant extremity; the paper's proof step
+(:func:`improve_once`) can otherwise only extract a k-AT, which a k-AT-free
+graph does not have.  Should a round still fail, the exact decision oracle
+supplies the path, which caps that fallback at the oracle's size limit
+(n <= 12).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .asteroidal import KatWitness, find_k_at, is_k_at, verify_kat
 from .eccentricity import has_path_with_ecc_at_most
-from .graphs import Graph, _grow_mask, _mask_of, _mask_to_set, bfs_distances, is_connected, is_path
+from .graphs import (
+    Graph,
+    _grow_mask,
+    _mask_of,
+    _mask_to_set,
+    _shortest_path,
+    bfs_distances,
+    is_connected,
+    is_path,
+)
 
 
 @dataclass(frozen=True)
@@ -70,29 +80,9 @@ class Dichotomy:
 TraceSink = Optional[list]
 
 
-def _trace(sink: TraceSink, record: dict) -> None:
+def _trace(sink: TraceSink, step: str, covered: int, path_len: int, w: Optional[int]) -> None:
     if sink is not None:
-        sink.append(record)
-
-
-def _shortest_path(g: Graph, src: int, dst: int) -> tuple[int, ...]:
-    """Deterministic shortest path (BFS, smallest-index parents)."""
-    parent: dict[int, Optional[int]] = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            out = []
-            cur: Optional[int] = dst
-            while cur is not None:
-                out.append(cur)
-                cur = parent[cur]
-            return tuple(reversed(out))
-        for x in sorted(g.adj[u]):
-            if x not in parent:
-                parent[x] = u
-                queue.append(x)
-    raise ValueError(f"no path from {src} to {dst}")
+        sink.append({"step": step, "covered": covered, "path_len": path_len, "w": w})
 
 
 def _shortcut(walk: Sequence[int]) -> tuple[int, ...]:
@@ -289,8 +279,7 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     res_v = _end_step(g, k, rev, path_wa, w)
     if not isinstance(res_v, int):
         return res_v
-    state = ImprovementState(p, state.covered, w, a, path_wa, res_u, res_v)
-    u_prime, v_prime = state.u_prime, state.v_prime
+    u_prime, v_prime = res_u, res_v
 
     path_u = _shortest_path(g, u_prime, u)  # u' .. u
     path_v = _shortest_path(g, v, v_prime)  # v .. v'
@@ -327,24 +316,6 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     return STUCK
 
 
-def _exhaustive_improving(
-    g: Graph, k: int, p: tuple[int, ...], w: int
-) -> Optional[tuple[int, ...]]:
-    """First simple path containing V(p) that also covers w, by full DFS."""
-    need = set(p)
-    for s in range(g.n):
-        stack: list[tuple[int, ...]] = [(s,)]
-        while stack:
-            path = stack.pop()
-            if need <= set(path) and _cover_mask(g, path, k) >> w & 1:
-                return path
-            tail = path[-1]
-            for x in sorted(g.adj[tail], reverse=True):
-                if x not in path:
-                    stack.append(path + (x,))
-    return None
-
-
 def find_k_dominating_path_or_witness(
     g: Graph, k: int, trace: TraceSink = None
 ) -> Dichotomy:
@@ -353,14 +324,18 @@ def find_k_dominating_path_or_witness(
     The witness side takes precedence: a path is returned exactly when g
     has no k-AT, so the answer's shape always reflects the obstruction
     (both can exist at once; a graph may admit a k-dominating path and
-    still contain a k-AT).
+    still contain a k-AT).  The witness is :func:`find_k_at`'s.
 
-    Progress is monotone: every accepted step grows the covered set or, at
-    equal coverage, shrinks the path, so the loop terminates.  If the
-    proof-guided step gets stuck (its path is not a coverage maximizer), an
-    exhaustive improving-path search takes over, and as a last resort the
-    ground-truth oracles decide the dichotomy; the practically relevant
-    size bound is therefore the ground-truth oracle's.
+    On a k-AT-free graph the improvement loop builds the path.  Progress is
+    monotone: every accepted step grows the covered set or, at equal
+    coverage, shrinks the path, so the loop terminates.  Any other step
+    result hands the graph to the one fallback, the exact decision oracle
+    :func:`has_path_with_ecc_at_most`, whose size cap (n <= 12) then
+    applies.
+
+    The optional trace receives one record per step; the kinds are seed,
+    witness_priority, improved, shortened, stuck, ground_truth_path and
+    path_done.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -368,61 +343,32 @@ def find_k_dominating_path_or_witness(
         raise ValueError("find_k_dominating_path_or_witness requires a connected graph")
     full = (1 << g.n) - 1
     p = greedy_seed_path(g)
-    _trace(trace, {"step": "seed", "covered": _cover_mask(g, p, k).bit_count(),
-                   "path_len": len(p), "w": None})
-    while True:
-        cov = _cover_mask(g, p, k)
-        if cov == full:
-            lurking = find_k_at(g, k)
-            if lurking is not None:
-                # a dominating path exists, but so does the obstruction;
-                # report the witness so the side always mirrors k-AT-freeness
-                _trace(trace, {"step": "witness_priority", "covered": g.n,
-                               "path_len": len(p), "w": None})
-                return Dichotomy(witness=lurking)
-            _trace(trace, {"step": "path_done", "covered": g.n,
-                           "path_len": len(p), "w": None})
-            return Dichotomy(path=p)
+    cov = _cover_mask(g, p, k)
+    _trace(trace, "seed", cov.bit_count(), len(p), None)
+    witness = find_k_at(g, k)
+    if witness is not None:
+        _trace(trace, "witness_priority", cov.bit_count(), len(p), None)
+        return Dichotomy(witness=witness)
+    while cov != full:
         w = _choose_uncovered(g, k, p)
         assert w is not None
         step = improve_once(g, k, p)
         if isinstance(step, ImprovedPath):
             new_cov = _cover_mask(g, step.path, k)
             assert new_cov & cov == cov and new_cov != cov and set(p) <= set(step.path)
-            p = step.path
-            _trace(trace, {"step": "improved", "covered": new_cov.bit_count(),
-                           "path_len": len(p), "w": w})
+            p, cov = step.path, new_cov
+            _trace(trace, "improved", cov.bit_count(), len(p), w)
         elif isinstance(step, Shortened):
             assert _cover_mask(g, step.path, k) == cov and len(step.path) < len(p)
             p = step.path
-            _trace(trace, {"step": "shortened", "covered": cov.bit_count(),
-                           "path_len": len(p), "w": w})
-        elif isinstance(step, Certificate):
-            assert verify_kat(g, step.witness)
-            _trace(trace, {"step": "certificate", "covered": cov.bit_count(),
-                           "path_len": len(p), "w": w})
-            return Dichotomy(witness=step.witness)
+            _trace(trace, "shortened", cov.bit_count(), len(p), w)
         else:
-            _trace(trace, {"step": "stuck", "covered": cov.bit_count(),
-                           "path_len": len(p), "w": w})
-            better = _exhaustive_improving(g, k, p, w)
-            if better is not None:
-                p = better
-                _trace(trace, {"step": "fallback_improved",
-                               "covered": _cover_mask(g, p, k).bit_count(),
-                               "path_len": len(p), "w": w})
-                continue
-            witness = find_k_at(g, k)
-            if witness is not None:
-                _trace(trace, {"step": "ground_truth_witness",
-                               "covered": cov.bit_count(), "path_len": len(p), "w": w})
-                return Dichotomy(witness=witness)
+            # a Certificate re-verifies, so it cannot follow find_k_at's None
+            _trace(trace, "stuck", cov.bit_count(), len(p), w)
             found = has_path_with_ecc_at_most(g, k)
             if found is None:
-                raise RuntimeError(
-                    "no k-AT and no k-dominating path: dichotomy violated"
-                )
-            _trace(trace, {"step": "ground_truth_path",
-                           "covered": _cover_mask(g, found, k).bit_count(),
-                           "path_len": len(found), "w": w})
+                raise RuntimeError("no k-AT and no k-dominating path: dichotomy violated")
+            _trace(trace, "ground_truth_path", g.n, len(found), w)
             return Dichotomy(path=found)
+    _trace(trace, "path_done", g.n, len(p), None)
+    return Dichotomy(path=p)

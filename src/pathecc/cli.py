@@ -122,7 +122,7 @@ def _emit(obj: dict) -> None:
 
 def _parse_path_arg(arg: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in arg.split(",") if x != "")
+        return tuple(int(x) for x in arg.split(","))
     except ValueError as exc:
         raise CliError(f"bad path {arg!r}, expected comma-separated vertices") from exc
 

@@ -48,36 +48,36 @@ def _check_search_input(g: Graph, max_n: int, what: str) -> None:
         raise ValueError(f"{what} requires a connected graph")
 
 
-def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
-    """Exact path eccentricity by exhaustive path enumeration.
+def _first_best_path(
+    g: Graph, limit: int, stop: int
+) -> tuple[int, Optional[tuple[int, ...]]]:
+    """First path of least eccentricity below limit, by exhaustive search.
 
     Paths are generated depth-first in lexicographic order, each one scored
-    once (reversals are skipped by requiring first <= last vertex).  A
+    once (reversals are skipped by requiring first <= last vertex).  A path
+    whose eccentricity beats the incumbent bound ``limit`` becomes the
+    incumbent, and the search ends once the bound is at most ``stop``.  A
     branch is abandoned only when even covering everything still reachable
-    from its tail cannot beat the incumbent, so the reported value and the
-    first witness attaining it match a plain exhaustive scan.
+    from its tail cannot beat the bound, so the result matches a plain
+    exhaustive scan.  Returns the final bound and its path, or the initial
+    limit and None when no path beats it.
     """
-    _check_search_input(g, max_n, "pe_exact")
-    n = g.n
-    masks = g.adj_masks
-    best: Optional[int] = None
-    best_path: Optional[tuple[int, ...]] = None
+    best: Optional[tuple[int, ...]] = None
     path: list[int] = []
 
     def extend(v: int, pmask: int) -> bool:
-        nonlocal best, best_path
+        nonlocal limit, best
         path.append(v)
         pmask |= 1 << v
         try:
             if path[0] <= v:
                 ecc = _ecc_of_mask(g, pmask)
-                if best is None or ecc < best:
-                    best, best_path = ecc, tuple(path)
-                    if best == 0:
+                if ecc < limit:
+                    limit, best = ecc, tuple(path)
+                    if limit <= stop:
                         return True
             reach = _reach_mask(g, v, ~(pmask & ~(1 << v)))
-            floor = _ecc_of_mask(g, pmask | reach)
-            if best is not None and floor >= best:
+            if _ecc_of_mask(g, pmask | reach) >= limit:
                 return False
             for y in sorted(g.adj[v]):
                 if not pmask & (1 << y):
@@ -87,11 +87,23 @@ def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
         finally:
             path.pop()
 
-    for s in range(n):
+    for s in range(g.n):
         if extend(s, 0):
             break
-    assert best is not None and best_path is not None
-    return PeResult(best, best_path)
+    return limit, best
+
+
+def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
+    """Exact path eccentricity by exhaustive path enumeration.
+
+    The witness is the first path, in lexicographic enumeration order, that
+    attains the minimum.
+    """
+    _check_search_input(g, max_n, "pe_exact")
+    # n + 1 admits every path (eccentricities are below n); 0 cannot be beaten
+    value, witness = _first_best_path(g, g.n + 1, 0)
+    assert witness is not None
+    return PeResult(value, witness)
 
 
 def has_path_with_ecc_at_most(
@@ -105,30 +117,4 @@ def has_path_with_ecc_at_most(
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     _check_search_input(g, max_n, "has_path_with_ecc_at_most")
-    n = g.n
-    found: Optional[tuple[int, ...]] = None
-    path: list[int] = []
-
-    def extend(v: int, pmask: int) -> bool:
-        nonlocal found
-        path.append(v)
-        pmask |= 1 << v
-        try:
-            if path[0] <= v and _ecc_of_mask(g, pmask) <= k:
-                found = tuple(path)
-                return True
-            reach = _reach_mask(g, v, ~(pmask & ~(1 << v)))
-            if _ecc_of_mask(g, pmask | reach) > k:
-                return False
-            for y in sorted(g.adj[v]):
-                if not pmask & (1 << y):
-                    if extend(y, pmask):
-                        return True
-            return False
-        finally:
-            path.pop()
-
-    for s in range(n):
-        if extend(s, 0):
-            break
-    return found
+    return _first_best_path(g, k + 1, k)[1]

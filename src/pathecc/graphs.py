@@ -6,6 +6,7 @@ construction, so values can be shared freely, hashed, and memoized.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -166,6 +167,34 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[Optional[int]]:
                     nxt.append(x)
         frontier = nxt
     return dist
+
+
+def _shortest_path(
+    g: Graph, src: int, dst: int, avoid: int = 0
+) -> Optional[tuple[int, ...]]:
+    """Shortest src-dst path missing every vertex of the avoid mask, or None.
+
+    FIFO BFS over sorted neighbours with first-discovery parents, so the
+    path returned for given endpoints is always the same.
+    """
+    if (avoid >> src | avoid >> dst) & 1:
+        return None
+    parent: dict[int, Optional[int]] = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            out = []
+            cur: Optional[int] = dst
+            while cur is not None:
+                out.append(cur)
+                cur = parent[cur]
+            return tuple(reversed(out))
+        for x in sorted(g.adj[u]):
+            if not avoid >> x & 1 and x not in parent:
+                parent[x] = u
+                queue.append(x)
+    return None
 
 
 def neighborhood_k(g: Graph, sources: Iterable[int], k: int) -> frozenset[int]:

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from . import eccentricity, star_c1p
 from .asteroidal import find_k_at, min_k_at_free, verify_kat
 from .central_path import find_k_dominating_path_or_witness
 from .eccentricity import has_path_with_ecc_at_most, pe_exact
@@ -32,10 +33,6 @@ from .star_c1p import (
     neighborhood_bounds,
     verify_witness,
 )
-
-PE_MAX_N = 12
-STAR_MAX_N = 20
-
 
 @dataclass(frozen=True)
 class PropertyResult:
@@ -113,7 +110,7 @@ _SKIP = object()
 
 
 def _prop_theorem1(case: _GraphCase):
-    if not case.connected or case.g.n > PE_MAX_N:
+    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
         return _SKIP
     if case.min_k == 1 and case.pe > 1:
         return f"1-AT-free but pe={case.pe}"
@@ -121,7 +118,7 @@ def _prop_theorem1(case: _GraphCase):
 
 
 def _prop_theorem3(case: _GraphCase):
-    if not case.connected or case.g.n > PE_MAX_N:
+    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
         return _SKIP
     if case.pe > case.min_k:
         return f"pe={case.pe} exceeds min k-AT-free level {case.min_k}"
@@ -129,7 +126,7 @@ def _prop_theorem3(case: _GraphCase):
 
 
 def _prop_theorem4(case: _GraphCase):
-    if case.g.n > STAR_MAX_N:
+    if case.g.n > star_c1p.DEFAULT_MAX_N:
         return _SKIP
     if case.star is None:
         return None
@@ -140,7 +137,7 @@ def _prop_theorem4(case: _GraphCase):
 
 
 def _prop_corollary(case: _GraphCase):
-    if not case.connected or case.g.n > PE_MAX_N:
+    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
         return _SKIP
     if case.star is not None and case.pe > 2:
         return f"ordering witness exists but pe={case.pe}"
@@ -148,7 +145,7 @@ def _prop_corollary(case: _GraphCase):
 
 
 def _prop_c5_free(case: _GraphCase):
-    if case.g.n > STAR_MAX_N:
+    if case.g.n > star_c1p.DEFAULT_MAX_N:
         return _SKIP
     if case.star is None:
         return None
@@ -159,7 +156,7 @@ def _prop_c5_free(case: _GraphCase):
 
 
 def _prop_order_lemma(case: _GraphCase):
-    if case.g.n > STAR_MAX_N:
+    if case.g.n > star_c1p.DEFAULT_MAX_N:
         return _SKIP
     w = case.star
     if w is None:
@@ -194,7 +191,7 @@ def path_neighborhood_holds(
 
 
 def _prop_path_neighborhood(case: _GraphCase):
-    if case.g.n > STAR_MAX_N:
+    if case.g.n > star_c1p.DEFAULT_MAX_N:
         return _SKIP
     w = case.star
     if w is None:
@@ -213,7 +210,7 @@ def _prop_path_neighborhood(case: _GraphCase):
 
 
 def _prop_star_c1p_exists(case: _GraphCase):
-    if case.g.n > STAR_MAX_N:
+    if case.g.n > star_c1p.DEFAULT_MAX_N:
         return _SKIP
     if case.star is None:
         return "no ordering witness"
@@ -221,7 +218,7 @@ def _prop_star_c1p_exists(case: _GraphCase):
 
 
 def _prop_dichotomy(case: _GraphCase):
-    if not case.connected or case.g.n > PE_MAX_N:
+    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
         return _SKIP
     g = case.g
     for k in (1, 2, 3):
@@ -331,7 +328,8 @@ def hunt_conjecture(
     with_witness = 0
     for g in corpus:
         searched += 1
-        if g.n > min(PE_MAX_N, STAR_MAX_N) or not is_connected(g):
+        too_big = g.n > min(eccentricity.DEFAULT_MAX_N, star_c1p.DEFAULT_MAX_N)
+        if too_big or not is_connected(g):
             skipped += 1
             continue
         witness = find_star_c1p(g)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from pathecc import eccentricity
 from pathecc.asteroidal import find_k_at, is_k_at, min_k_at_free, verify_kat
 from pathecc.central_path import find_k_dominating_path_or_witness
 from pathecc.eccentricity import has_path_with_ecc_at_most, pe_exact, path_eccentricity
@@ -114,7 +115,7 @@ def test_criterion_3_theorem4_exhaustive(corpus_structural, star_map):
 def test_criterion_4_corollary_exhaustive(corpus_structural, star_map):
     violations = []
     for g, w in zip(corpus_structural, star_map):
-        if w is None or g.n > 12:
+        if w is None or g.n > eccentricity.DEFAULT_MAX_N:
             continue
         pe = pe_exact(g).value
         if pe > 2:

@@ -1,6 +1,6 @@
 import pytest
 
-from pathecc.asteroidal import min_k_at_free, verify_kat
+from pathecc.asteroidal import find_k_at, min_k_at_free, verify_kat
 from pathecc.central_path import (
     Certificate,
     ImprovedPath,
@@ -10,7 +10,7 @@ from pathecc.central_path import (
     improve_once,
 )
 from pathecc.eccentricity import has_path_with_ecc_at_most, path_eccentricity
-from pathecc.families import cycle, fig_biconvex, path_graph, subdivided_claw
+from pathecc.families import cycle, fig_biconvex, parse_graph6, path_graph, subdivided_claw
 from pathecc.graphs import Graph, is_path
 
 
@@ -108,20 +108,22 @@ def test_dichotomy_validation():
 
 
 def test_trace_measures_progress():
-    g = subdivided_claw(3)
+    # a path-side run: the loop shortens twice, then improves
+    g = parse_graph6("FexA?")
     trace: list = []
     d = find_k_dominating_path_or_witness(g, 1, trace=trace)
-    assert trace[0]["step"] == "seed"
-    assert trace[-1]["step"] in ("certificate", "path_done")
+    assert [rec["step"] for rec in trace] == [
+        "seed", "shortened", "shortened", "improved", "path_done"
+    ]
+    assert trace[-1]["step"] in ("witness_priority", "path_done")
     measure = None
     for rec in trace:
-        if rec["step"] in ("improved", "shortened", "fallback_improved"):
+        if rec["step"] in ("improved", "shortened"):
             cur = (rec["covered"], -rec["path_len"])
             if measure is not None:
                 assert cur > measure
             measure = cur
-    if d.witness is not None:
-        assert verify_kat(g, d.witness)
+    assert d.path is not None and path_eccentricity(g, d.path) <= 1
 
 
 def test_dichotomy_matches_ground_truth_small(connected_upto_5):
@@ -138,6 +140,7 @@ def test_dichotomy_matches_ground_truth_small(connected_upto_5):
                 assert d.witness is not None, (g.edges(), k)
                 assert verify_kat(g, d.witness)
                 assert d.witness.k == k
+                assert d.witness == find_k_at(g, k)
 
 
 def test_improve_once_reroutes_through_connector():
@@ -160,29 +163,6 @@ def test_improve_once_reroutes_around_far_candidate():
     assert {3, 1, 6, 0} <= set(step.path)
 
 
-def test_fallback_ground_truth_witness(monkeypatch):
-    """Proof-guided step disabled: the oracles still yield a verified triple."""
-    import pathecc.central_path as cp
-
-    monkeypatch.setattr(cp, "improve_once", lambda g, k, p: cp.STUCK)
-    g = subdivided_claw(2)
-    trace: list = []
-    d = cp.find_k_dominating_path_or_witness(g, 1, trace=trace)
-    assert d.witness is not None and verify_kat(g, d.witness)
-    assert any(t["step"] == "ground_truth_witness" for t in trace)
-
-
-def test_fallback_exhaustive_improving(monkeypatch):
-    """Proof-guided step disabled: the exhaustive search still makes progress."""
-    import pathecc.central_path as cp
-
-    monkeypatch.setattr(cp, "improve_once", lambda g, k, p: cp.STUCK)
-    trace: list = []
-    d = cp.find_k_dominating_path_or_witness(cycle(8), 1, trace=trace)
-    assert any(t["step"] == "fallback_improved" for t in trace)
-    assert d.witness is not None  # C8 still has a 1-AT, reported with priority
-
-
 def test_fallback_ground_truth_path(monkeypatch):
     """Nothing improvable and no triple: the decision oracle supplies the path."""
     import pathecc.central_path as cp
@@ -191,7 +171,6 @@ def test_fallback_ground_truth_path(monkeypatch):
     # leaves the long tip uncovered, and no simple path extends that seed
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     monkeypatch.setattr(cp, "improve_once", lambda g, k, p: cp.STUCK)
-    monkeypatch.setattr(cp, "_exhaustive_improving", lambda g, k, p, w: None)
     monkeypatch.setattr(cp, "greedy_seed_path", lambda g: (1, 0, 2))
     trace: list = []
     d = cp.find_k_dominating_path_or_witness(g, 1, trace=trace)

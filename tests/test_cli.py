@@ -51,6 +51,15 @@ def test_ecc_subcommand(capsys):
     assert code == 0 and doc["ecc"] == 2
 
 
+@pytest.mark.parametrize("path, triple", [("0,,1", "0,,1,2"), ("0,1,", "0,1,2,")])
+def test_empty_path_entries_exit_2(capsys, path, triple):
+    # dropping the empty entry would leave a valid path or triple
+    g6 = emit_graph6(subdivided_claw(2))
+    for argv in (("ecc", g6, path), ("kat", g6, "--k", "1", "--triple", triple)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "bad path" in err
+
+
 def test_kat_and_min_kat(capsys):
     g6 = emit_graph6(subdivided_claw(2))
     code, doc, _ = run_json(capsys, "kat", g6, "--k", "1")

@@ -139,6 +139,10 @@ def test_has_path_with_ecc_at_most_agrees(connected_upto_5):
             if k >= value:
                 assert found is not None
                 assert path_ecc_oracle(g, found) <= k
+                # the early exit keeps enumeration order: the first such path
+                assert found == next(
+                    p for p in all_simple_paths(g) if path_ecc_oracle(g, p) <= k
+                )
             else:
                 assert found is None
 
