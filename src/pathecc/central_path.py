@@ -65,8 +65,6 @@ class ImprovementState:
     w: int
     a: int
     path_wa: tuple[int, ...]
-    u_prime: Optional[int]
-    v_prime: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -254,9 +252,7 @@ def survey_improvement(g: Graph, k: int, p: Sequence[int]) -> ImprovementState:
     a = min(p, key=lambda t: (dw[t], t))
     path_wa = _shortest_path(g, w, a)
     assert set(path_wa) & set(p) == {a}
-    return ImprovementState(
-        p, _mask_to_set(_cover_mask(g, p, k)), w, a, path_wa, None, None
-    )
+    return ImprovementState(p, _mask_to_set(_cover_mask(g, p, k)), w, a, path_wa)
 
 
 def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:

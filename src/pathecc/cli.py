@@ -127,6 +127,12 @@ def _parse_path_arg(arg: str) -> tuple[int, ...]:
         raise CliError(f"bad path {arg!r}, expected comma-separated vertices") from exc
 
 
+def _int_list(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathecc",
@@ -242,11 +248,13 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
                         raw = fh.read()
                 try:
                     doc = json.loads(raw)
-                    witness = OrderingWitness(
-                        tuple(doc["order"]), frozenset(doc["diagonal"])
-                    )
+                    order, diagonal = doc["order"], doc["diagonal"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise CliError(f"bad witness JSON: {exc}") from exc
+                if not (_int_list(order) and _int_list(diagonal)):
+                    raise CliError("bad witness JSON: order and diagonal must be "
+                                   "lists of integers")
+                witness = OrderingWitness(tuple(order), frozenset(diagonal))
                 _emit({"schema": SCHEMA, "command": "star-c1p",
                        "witness": _ordering_json(witness),
                        "valid": verify_witness(g, witness)})

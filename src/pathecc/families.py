@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, is_connected
@@ -322,75 +321,190 @@ def parse_graph6(line: str) -> Graph:
 
 # --- exhaustive enumeration -------------------------------------------------
 
+def _twin_masks(masks: Sequence[int]) -> list[int]:
+    """Bit y of ``twins[x]`` is set iff y != x and N(x) - {y} == N(y) - {x}.
+
+    Swapping two such twins is an automorphism, so a search that has
+    already branched on one of them can skip the other.
+    """
+    n = len(masks)
+    twins = [0] * n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if masks[x] & ~(1 << y) == masks[y] & ~(1 << x):
+                twins[x] |= 1 << y
+                twins[y] |= 1 << x
+    return twins
+
+
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Minimum adjacency bitstring over all vertex orderings.
 
     Positions are assigned one at a time; placing a vertex at position p
-    fixes its adjacency bits to the p already-placed vertices, and branches
-    whose bits already exceed the best known prefix are cut.  The result is
-    the true minimum, grouped as one integer per position.
+    fixes its adjacency bits to the p already-placed vertices (one word,
+    the first-placed vertex in the high bit), and branches whose word
+    already exceeds the best known prefix are cut.  Of several unplaced
+    twins only the first is branched on: the others' subtrees are its
+    images under automorphisms.  The result is the true minimum, grouped
+    as one integer per position.
     """
     n = g.n
     if n == 0:
         return ()
-    adj = g.adj
+    masks = g.adj_masks
+    twins = _twin_masks(masks)
     best: Optional[list[int]] = None
+    prefix: list[int] = []
 
-    def extend(placed: list[int], used: set[int], prefix: list[int]) -> None:
+    def extend(unplaced: list[tuple[int, int]]) -> None:
+        # unplaced holds (word against the placed prefix, vertex)
         nonlocal best
-        p = len(placed)
-        if p == n:
+        p = len(prefix)
+        if not unplaced:
             if best is None or prefix < best:
                 best = prefix.copy()
             return
-        scored = []
-        for x in range(n):
-            if x in used:
-                continue
-            word = 0
-            ax = adj[x]
-            for y in placed:
-                word = (word << 1) | (1 if y in ax else 0)
-            scored.append((word, x))
         # smallest word first: finds a strong incumbent early
-        for word, x in sorted(scored):
-            # prune against the incumbent; best may change between siblings
-            if best is not None and prefix == best[:p] and word > best[p]:
+        unplaced.sort()
+        tried = 0
+        for word, x in unplaced:
+            if twins[x] & tried:
                 continue
-            placed.append(x)
-            used.add(x)
+            tried |= 1 << x
+            # prune against the incumbent; best may change between siblings,
+            # and every later sibling has a word at least as large
+            if best is not None and word > best[p] and prefix == best[:p]:
+                break
+            row = masks[x]
             prefix.append(word)
-            extend(placed, used, prefix)
+            extend([((w << 1) | (row >> y & 1), y) for w, y in unplaced if y != x])
             prefix.pop()
-            used.remove(x)
-            placed.pop()
 
-    extend([], set(), [])
+    extend([(0, x) for x in range(n)])
     assert best is not None
     return tuple(best)
 
 
-@lru_cache(maxsize=None)
-def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
-    """All graphs (connected or not) on n vertices up to isomorphism.
+def _refine(masks: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine an ordered partition (cells as vertex masks) until it is equitable.
 
-    Built by extending every (n-1)-vertex representative with each possible
-    neighborhood of a new vertex, deduplicating by canonical key.
+    Each splitter W splits every cell by how many neighbors its vertices
+    have in W; the parts replace the cell in increasing order of that count
+    and become splitters themselves.  Only structure decides what happens,
+    so relabelling the graph relabels the result.
     """
-    if n == 1:
-        return (Graph.from_edges(1),)
-    found: dict[tuple[int, ...], Graph] = {}
-    for parent in _all_graphs_upto_iso(n - 1):
-        base_edges = parent.edges()
-        for nbhd in range(1 << (n - 1)):
-            edges = base_edges + [
-                (v, n - 1) for v in range(n - 1) if (nbhd >> v) & 1
-            ]
-            g = Graph.from_edges(n, edges)
-            key = canonical_key(g)
-            if key not in found:
-                found[key] = g
-    return tuple(found[k] for k in sorted(found))
+    i = 0
+    while i < len(splitters):
+        w = splitters[i]
+        i += 1
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                count = (masks[low.bit_length() - 1] & w).bit_count()
+                parts[count] = parts.get(count, 0) | low
+                rest ^= low
+            if len(parts) == 1:
+                out.append(cell)
+                continue
+            for count in sorted(parts):
+                out.append(parts[count])
+                splitters.append(parts[count])
+        cells = out
+    return cells
+
+
+def _certificate(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """A complete isomorphism invariant of the n-vertex graph with these masks.
+
+    Individualization-refinement as in McKay & Piperno, "Practical graph
+    isomorphism II" (JSC 2014), pruned only by twins: refine to an
+    equitable partition, individualize each vertex of the first smallest
+    non-singleton cell in turn, and recurse.  A discrete partition labels
+    each vertex by its cell's position; the certificate is the smallest
+    relabelled mask tuple over all leaves.  It is cheaper than
+    :func:`canonical_key` but not comparable with it.
+    """
+    if n == 0:
+        return ()
+    twins = _twin_masks(masks)
+    best: Optional[tuple[int, ...]] = None
+
+    def search(cells: list[int]) -> None:
+        nonlocal best
+        target = 0
+        for cell in cells:
+            if cell & (cell - 1) and (
+                not target or cell.bit_count() < target.bit_count()
+            ):
+                target = cell
+        if not target:
+            label = [0] * n
+            for pos, cell in enumerate(cells):
+                label[cell.bit_length() - 1] = pos
+            rows = [0] * n
+            for v in range(n):
+                row = 0
+                rest = masks[v]
+                while rest:
+                    low = rest & -rest
+                    row |= 1 << label[low.bit_length() - 1]
+                    rest ^= low
+                rows[label[v]] = row
+            leaf = tuple(rows)
+            if best is None or leaf < best:
+                best = leaf
+            return
+        at = cells.index(target)
+        tried = 0
+        rest = target
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if twins[low.bit_length() - 1] & tried:
+                continue
+            tried |= low
+            split = cells[:at] + [low, target ^ low] + cells[at + 1 :]
+            search(_refine(masks, split, [low]))
+
+    full = (1 << n) - 1
+    search(_refine(masks, [full], [full]))
+    assert best is not None
+    return best
+
+
+def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
+    """All graphs (connected or not) on n >= 1 vertices up to isomorphism.
+
+    Level m extends every representative of level m - 1, in order, with
+    each possible neighborhood of a new vertex, keeps the first extension
+    of each isomorphism class (deduplicated by :func:`_certificate`), and
+    sorts the level by :func:`canonical_key`.  Only the previous level is
+    kept alive while the next is built.
+    """
+    level: tuple[Graph, ...] = (Graph.from_edges(1),)
+    for m in range(2, n + 1):
+        new = 1 << (m - 1)
+        found: dict[tuple[int, ...], Graph] = {}
+        for parent in level:
+            base = parent.adj_masks
+            for nbhd in range(new):
+                masks = tuple(
+                    (row | new) if nbhd >> v & 1 else row for v, row in enumerate(base)
+                ) + (nbhd,)
+                cert = _certificate(masks, m)
+                if cert not in found:
+                    found[cert] = Graph.from_edges(
+                        m,
+                        parent.edges() + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1],
+                    )
+        level = tuple(sorted(found.values(), key=canonical_key))
+    return level
 
 
 MAX_ENUMERATION_N = 7

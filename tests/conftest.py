@@ -8,6 +8,7 @@ implementations are checked against slow-but-obvious ones.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -178,6 +179,57 @@ def reference_min_k_at_free(g: Graph) -> int:
     while reference_find_k_at(g, k) is not None:
         k += 1
     return k
+
+
+def reference_canonical_key(g: Graph) -> tuple[int, ...]:
+    """Minimum adjacency bitstring over all vertex orderings.
+
+    The reference for ``families.canonical_key``: the same value from a
+    search on adjacency sets with no twin pruning.
+
+    Positions are assigned one at a time; placing a vertex at position p
+    fixes its adjacency bits to the p already-placed vertices, and branches
+    whose bits already exceed the best known prefix are cut.  The result is
+    the true minimum, grouped as one integer per position.
+    """
+    n = g.n
+    if n == 0:
+        return ()
+    adj = g.adj
+    best: Optional[list[int]] = None
+
+    def extend(placed: list[int], used: set[int], prefix: list[int]) -> None:
+        nonlocal best
+        p = len(placed)
+        if p == n:
+            if best is None or prefix < best:
+                best = prefix.copy()
+            return
+        scored = []
+        for x in range(n):
+            if x in used:
+                continue
+            word = 0
+            ax = adj[x]
+            for y in placed:
+                word = (word << 1) | (1 if y in ax else 0)
+            scored.append((word, x))
+        # smallest word first: finds a strong incumbent early
+        for word, x in sorted(scored):
+            # prune against the incumbent; best may change between siblings
+            if best is not None and prefix == best[:p] and word > best[p]:
+                continue
+            placed.append(x)
+            used.add(x)
+            prefix.append(word)
+            extend(placed, used, prefix)
+            prefix.pop()
+            used.remove(x)
+            placed.pop()
+
+    extend([], set(), [])
+    assert best is not None
+    return tuple(best)
 
 
 def seeded_connected_gnp(n: int, seed: int) -> Graph:

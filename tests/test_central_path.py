@@ -38,7 +38,6 @@ def test_survey_improvement_state():
     assert state.w == 4  # smallest index among the two distance-2 tips
     assert state.a == 0 and state.path_wa == (4, 3, 0)
     assert state.covered == frozenset({0, 1, 2, 3, 5})
-    assert state.u_prime is None and state.v_prime is None
 
 
 def test_improve_once_requires_bad_eccentricity():

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import pathecc.cli
 from pathecc.cli import cli_main
@@ -98,6 +100,9 @@ def test_star_c1p_check_mode(tmp_path, capsys):
     assert code == 0 and doc["valid"] is False
     code, _, err = run(capsys, "star-c1p", g6, "--check", "{broken")
     assert code == 2
+    mixed = '{"order": [0, 1, 2, 3, 4, "5"], "diagonal": [null]}'
+    code, out, err = run(capsys, "star-c1p", g6, "--check", mixed)
+    assert code == 2 and out == "" and "bad witness JSON" in err
 
 
 def test_central_path_subcommand(capsys):
@@ -233,3 +238,89 @@ def test_invalid_worker_count_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CPK_THREADS", "abc")
     code, out, err = run(capsys, "suite", "gen:cycle:5", "--props", "theorem1")
     assert code == 2 and out == "" and "CPK_THREADS" in err
+
+
+# --- fuzzing: malformed input is exit 2 with one stderr line -----------------
+
+_FUZZ = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+# no decimal digits: junk such as '99999999 0' would be a valid edge-list
+# header, and the graph is built before the size cap rejects it
+_junk_line = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\n\r"),
+    max_size=12,
+)
+
+
+def _file_text(pair, body):
+    """A header line ('a b' with a, b drawn from pair, or junk) and up to 6 body lines."""
+    head = st.one_of(st.builds("{} {}".format, pair, pair), _junk_line)
+    return st.builds(
+        lambda h, b: "\n".join([h] + b) + "\n", head, st.lists(body, max_size=6)
+    )
+
+
+def _clean_exit(code, out, err):
+    """Success prints one JSON document; a rejected input one line of stderr."""
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+        return
+    assert code == 2 and out == ""
+    assert err.startswith("pathecc: ") and not err.startswith("pathecc: internal error")
+    assert len(err.strip().splitlines()) == 1
+
+
+@given(text=st.one_of(
+    st.text(max_size=24),
+    st.text(st.characters(min_codepoint=32, max_codepoint=127), max_size=24),
+))
+@_FUZZ
+def test_fuzz_graph6_argument(capsys, text):
+    assume(not os.path.exists(text))
+    _clean_exit(*run(capsys, "pe", "--", text))
+
+
+_VERTEX = st.integers(-2, 14).map(str)
+
+
+@given(text=_file_text(_VERTEX, st.one_of(st.builds("{} {}".format, _VERTEX, _VERTEX),
+                                          _junk_line)))
+@_FUZZ
+def test_fuzz_edge_list_file(tmp_path, capsys, text):
+    f = tmp_path / "g.txt"
+    f.write_text(text, encoding="utf-8")
+    _clean_exit(*run(capsys, "pe", str(f)))
+
+
+@given(text=_file_text(st.integers(-1, 7).map(str), st.one_of(st.text("01 ", max_size=8),
+                                                              _junk_line)))
+@_FUZZ
+def test_fuzz_matrix_file(tmp_path, capsys, text):
+    f = tmp_path / "m.txt"
+    f.write_text(text, encoding="utf-8")
+    _clean_exit(*run(capsys, "c1p", str(f)))
+
+
+_json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=7), st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+_witness_doc = st.fixed_dictionaries({
+    "order": st.one_of(st.permutations(range(6)).map(list), _json_value),
+    "diagonal": st.one_of(st.lists(st.integers(-1, 7), max_size=3), _json_value),
+})
+
+
+@given(raw=st.one_of(
+    st.text(max_size=24), _json_value.map(json.dumps), _witness_doc.map(json.dumps)
+))
+@_FUZZ
+def test_fuzz_star_c1p_check_json(capsys, raw):
+    assume(not os.path.exists(raw))
+    g6 = emit_graph6(fig_example_c())
+    _clean_exit(*run(capsys, "star-c1p", g6, f"--check={raw}"))

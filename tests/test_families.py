@@ -1,5 +1,12 @@
-import pytest
+import gc
+import hashlib
+import random
+import weakref
 
+import pytest
+from hypothesis import given, settings
+
+from conftest import graph_strategy, reference_canonical_key
 from pathecc.families import (
     FIG_A_ADJACENCY,
     FIG_B_AUGMENTED,
@@ -8,6 +15,8 @@ from pathecc.families import (
     FIG_C_PARTIAL,
     FamilySpec,
     Graph6Error,
+    _all_graphs_upto_iso,
+    _certificate,
     canonical_key,
     clique,
     cycle,
@@ -183,7 +192,7 @@ def test_canonical_key_is_isomorphism_invariant():
 
 
 def test_enumerate_connected_counts():
-    for n, want in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]:
+    for n, want in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)]:
         assert sum(1 for _ in enumerate_connected(n)) == want
     with pytest.raises(ValueError):
         list(enumerate_connected(8))
@@ -197,3 +206,123 @@ def test_enumerate_connected_yields_nonisomorphic_connected(connected_upto_5):
         assert is_connected(g)
         keys.add(canonical_key(g))
     assert len(keys) == len(connected_upto_5)
+
+
+# sha256 of the n <= 7 corpus as one graph6 line per graph, newline-joined
+CORPUS7_SHA256 = "1084b53d68534a267e6605b5c1e64fd99d891599eb8f66804d10bd951ff56917"
+
+
+def test_enumeration_corpus_is_byte_stable():
+    lines = "\n".join(emit_graph6(g) for n in range(1, 8) for g in enumerate_connected(n))
+    assert hashlib.sha256(lines.encode()).hexdigest() == CORPUS7_SHA256
+
+
+def test_enumerated_graphs_are_collected_after_use():
+    graphs = list(enumerate_connected(5))
+    ref = weakref.ref(graphs[0])
+    del graphs
+    gc.collect()
+    assert ref() is None
+
+
+def _extensions(n):
+    """Every graph the enumeration builds on n vertices, in build order."""
+    for parent in _all_graphs_upto_iso(n - 1):
+        edges = parent.edges()
+        for nbhd in range(1 << (n - 1)):
+            yield Graph.from_edges(
+                n, edges + [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
+            )
+
+
+def test_canonical_key_matches_reference_on_every_extension():
+    for n in range(2, 7):
+        for g in _extensions(n):
+            assert canonical_key(g) == reference_canonical_key(g)
+
+
+@given(graph_strategy(min_n=0, max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_canonical_key_matches_reference(g):
+    assert canonical_key(g) == reference_canonical_key(g)
+
+
+def _cert(g):
+    return _certificate(g.adj_masks, g.n)
+
+
+def _relabel(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_certificate_of_tiny_graphs():
+    assert _certificate((), 0) == () == canonical_key(Graph.from_edges(0))
+    assert _certificate((0,), 1) == (0,) == canonical_key(Graph.from_edges(1))
+
+
+def test_certificate_is_invariant_under_seeded_relabellings():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        g = random_gnp(n, rng.random(), seed=trial)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = _relabel(g, perm)
+        assert nx.is_isomorphic(_nx(g), _nx(h))
+        assert _cert(g) == _cert(h)
+
+
+def test_certificate_separates_like_networkx_on_same_edge_counts():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = rng.randint(0, len(pairs))
+        g, h = (Graph.from_edges(n, rng.sample(pairs, m)) for _ in range(2))
+        same = nx.is_isomorphic(_nx(g), _nx(h))
+        assert (_cert(g) == _cert(h)) == same
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def _rook_3x3():
+    """K3 box K3: cell (r, c) is vertex 3r + c; same row or column is adjacent."""
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    return Graph.from_edges(
+        9,
+        [(3 * a + b, 3 * c + d) for i, (a, b) in enumerate(cells)
+         for (c, d) in cells[i + 1 :] if a == c or b == d],
+    )
+
+
+def _circulant9(*steps):
+    return Graph.from_edges(9, [(i, (i + s) % 9) for i in range(9) for s in steps])
+
+
+def test_certificate_on_symmetric_graphs_of_order_9():
+    rng = random.Random(13)
+    named = [
+        cycle(9),
+        clique(9),
+        Graph.from_edges(9),
+        _rook_3x3(),
+        # the same degree sequences as the ones above
+        Graph.from_edges(9, cycle(3).edges() + [(3 + u, 3 + v) for u, v in cycle(6).edges()]),
+        _circulant9(1, 2),
+        _circulant9(1, 3),
+    ]
+    for g in named:
+        perm = list(range(9))
+        rng.shuffle(perm)
+        assert _cert(g) == _cert(_relabel(g, perm))
+    for i, g in enumerate(named):
+        for h in named[i + 1 :]:
+            assert (_cert(g) == _cert(h)) == nx.is_isomorphic(_nx(g), _nx(h))
