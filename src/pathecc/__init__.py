@@ -9,7 +9,6 @@ from .central_path import (
     ImprovedPath,
     ImprovementState,
     Shortened,
-    Stuck,
     find_k_dominating_path_or_witness,
     greedy_seed_path,
     improve_once,

@@ -7,9 +7,8 @@ greedy seed path until the path covers the whole graph within distance k.
 Each round it picks the worst uncovered vertex w and either extends the
 path to absorb w or trims a redundant extremity; the paper's proof step
 (:func:`improve_once`) can otherwise only extract a k-AT, which a k-AT-free
-graph does not have.  Should a round still fail, the exact decision oracle
-supplies the path, which caps that fallback at the oracle's size limit
-(n <= 12).
+graph does not have.  A step that fails its own checks would refute the
+paper's proof step, so it raises :class:`RuntimeError` naming the graph.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .asteroidal import KatWitness, find_k_at, is_k_at, verify_kat
-from .eccentricity import has_path_with_ecc_at_most
+from .asteroidal import KatWitness, find_k_at, verify_kat
+from .families import emit_graph6
 from .graphs import (
     Graph,
     _grow_mask,
@@ -46,14 +45,7 @@ class Certificate:
     witness: KatWitness
 
 
-@dataclass(frozen=True)
-class Stuck:
-    pass
-
-
-STUCK = Stuck()
-
-ImproveResult = Union[ImprovedPath, Shortened, Certificate, Stuck]
+ImproveResult = Union[ImprovedPath, Shortened, Certificate]
 
 
 @dataclass(frozen=True)
@@ -103,19 +95,12 @@ def _cover_mask(g: Graph, vs: Sequence[int], k: int) -> int:
 
 
 def _choose_uncovered(g: Graph, k: int, p: Sequence[int]) -> Optional[int]:
-    """Farthest uncovered vertex, smallest index on ties; None if covered."""
-    cov = _cover_mask(g, p, k)
-    dist = bfs_distances(g, set(p))
-    best_v: Optional[int] = None
-    best_d = k
-    for v in range(g.n):
-        if cov >> v & 1:
-            continue
-        d = dist[v]
-        assert d is not None and d > k
-        if d > best_d:
-            best_v, best_d = v, d
-    return best_v
+    """Farthest vertex from p, smallest index on ties; None if all are within k."""
+    dist = bfs_distances(g, p)
+    if None in dist:
+        raise ValueError("improve_once requires a connected graph")
+    far = max(range(g.n), key=lambda v: (dist[v], -v))
+    return far if dist[far] > k else None
 
 
 def greedy_seed_path(g: Graph) -> tuple[int, ...]:
@@ -131,23 +116,24 @@ def greedy_seed_path(g: Graph) -> tuple[int, ...]:
     return _shortest_path(g, s, t)
 
 
-def _improving_or_none(
-    g: Graph, k: int, p: Sequence[int], w: int, walk: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Validate a candidate improving walk; None if it cannot be repaired."""
+def _step_failed(g: Graph, k: int, p: Sequence[int], why: str) -> RuntimeError:
+    """The error for a step the paper's proof says cannot happen."""
+    return RuntimeError(
+        f"improvement step failed ({why}) on graph6 {emit_graph6(g)}, k={k}, path {list(p)}"
+    )
+
+
+def _improving(g: Graph, k: int, p: Sequence[int], w: int, walk: Sequence[int]) -> ImprovedPath:
+    """Loop-erase a walk that must be a path through p covering w."""
     cand = _shortcut(walk)
-    if not is_path(g, cand):
-        return None
-    if not set(p) <= set(cand):
-        return None
-    if not _cover_mask(g, cand, k) >> w & 1:
-        return None
-    return cand
+    if not (is_path(g, cand) and set(p) <= set(cand) and _cover_mask(g, cand, k) >> w & 1):
+        raise _step_failed(g, k, p, f"no improving path absorbs {w}")
+    return ImprovedPath(cand)
 
 
 def _end_step(
     g: Graph, k: int, p: tuple[int, ...], path_wa: tuple[int, ...], w: int
-) -> Union[Shortened, ImprovedPath, Stuck, int]:
+) -> Union[Shortened, ImprovedPath, int]:
     """Hunt a vertex at distance exactly k off the first extremity's coverage.
 
     Returns the found vertex, or acts on the two degenerate outcomes: no
@@ -180,8 +166,7 @@ def _end_step(
     jy = path_yc.index(y2)
     jc = path_cu.index(y2)
     walk = path_wa[: iy + 1] + path_yc[1 : jy + 1] + path_cu[jc + 1 :] + p[1:]
-    cand = _improving_or_none(g, k, p, w, walk)
-    return ImprovedPath(cand) if cand is not None else STUCK
+    return _improving(g, k, p, w, walk)
 
 
 def _reroute_far(
@@ -211,8 +196,7 @@ def _reroute_far(
     je = path_end.index(x2)
     ext = path_far[: ix + 1] + path_xu[1 : jx + 1] + path_end[je + 1 :]
     walk = p[ia + 1 :] + ext[1:] + p[1 : ia + 1] + tuple(reversed(path_wa))[1:]
-    cand = _improving_or_none(g, k, p, w, walk)
-    return ImprovedPath(cand) if cand is not None else STUCK
+    return _improving(g, k, p, w, walk)
 
 
 def _arrange_witness(
@@ -283,8 +267,7 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     # joining both candidate tips through p covers w: that is an improvement
     side_mask = _mask_of(path_u) | _mask_of(path_v) | _mask_of(p)
     if _grow_mask(g, side_mask, k) >> w & 1:
-        cand = _improving_or_none(g, k, p, w, path_u + p[1:] + path_v[1:])
-        return ImprovedPath(cand) if cand is not None else STUCK
+        return _improving(g, k, p, w, path_u + p[1:] + path_v[1:])
     if _cover_mask(g, path_v, k) >> u_prime & 1:
         return _reroute_far(g, k, p, ia, path_wa, path_u, path_v, u_prime, w)
     if _cover_mask(g, tuple(reversed(path_u)), k) >> v_prime & 1:
@@ -304,12 +287,9 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     cert_wu = _shortcut(path_wa + tuple(reversed(p[: ia + 1]))[1:] + tuple(reversed(path_u))[1:])
     cert_wv = _shortcut(path_wa + p[ia + 1 :] + path_v[1:])
     witness = _arrange_witness(g, k, u_prime, v_prime, w, cert_uv, cert_wu, cert_wv)
-    if verify_kat(g, witness):
-        return Certificate(witness)
-    rebuilt = is_k_at(g, (u_prime, v_prime, w), k)
-    if rebuilt is not None:
-        return Certificate(rebuilt)
-    return STUCK
+    if not verify_kat(g, witness):
+        raise _step_failed(g, k, p, "certificate fails verify_kat")
+    return Certificate(witness)
 
 
 def find_k_dominating_path_or_witness(
@@ -323,15 +303,12 @@ def find_k_dominating_path_or_witness(
     still contain a k-AT).  The witness is :func:`find_k_at`'s.
 
     On a k-AT-free graph the improvement loop builds the path.  Progress is
-    monotone: every accepted step grows the covered set or, at equal
-    coverage, shrinks the path, so the loop terminates.  Any other step
-    result hands the graph to the one fallback, the exact decision oracle
-    :func:`has_path_with_ecc_at_most`, whose size cap (n <= 12) then
-    applies.
+    monotone: every step grows the covered set or, at equal coverage,
+    shrinks the path, so the loop terminates.  A certificate there would
+    contradict :func:`find_k_at`, so it raises :class:`RuntimeError`.
 
     The optional trace receives one record per step; the kinds are seed,
-    witness_priority, improved, shortened, stuck, ground_truth_path and
-    path_done.
+    witness_priority, improved, shortened and path_done.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -346,8 +323,7 @@ def find_k_dominating_path_or_witness(
         _trace(trace, "witness_priority", cov.bit_count(), len(p), None)
         return Dichotomy(witness=witness)
     while cov != full:
-        w = _choose_uncovered(g, k, p)
-        assert w is not None
+        w = None if trace is None else _choose_uncovered(g, k, p)
         step = improve_once(g, k, p)
         if isinstance(step, ImprovedPath):
             new_cov = _cover_mask(g, step.path, k)
@@ -359,12 +335,6 @@ def find_k_dominating_path_or_witness(
             p = step.path
             _trace(trace, "shortened", cov.bit_count(), len(p), w)
         else:
-            # a Certificate re-verifies, so it cannot follow find_k_at's None
-            _trace(trace, "stuck", cov.bit_count(), len(p), w)
-            found = has_path_with_ecc_at_most(g, k)
-            if found is None:
-                raise RuntimeError("no k-AT and no k-dominating path: dichotomy violated")
-            _trace(trace, "ground_truth_path", g.n, len(found), w)
-            return Dichotomy(path=found)
+            raise _step_failed(g, k, p, "certificate although find_k_at found no k-AT")
     _trace(trace, "path_done", g.n, len(p), None)
     return Dichotomy(path=p)

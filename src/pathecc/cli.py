@@ -18,6 +18,7 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
+from . import eccentricity, star_c1p
 from .asteroidal import KatWitness, find_k_at, is_k_at, min_k_at_free
 from .central_path import find_k_dominating_path_or_witness
 from .eccentricity import path_eccentricity, pe_exact
@@ -41,7 +42,12 @@ class CliError(Exception):
     pass
 
 
-def _load_graph(arg: str) -> Graph:
+def _load_graph(arg: str, cap: Optional[tuple[str, int]] = None) -> Graph:
+    """A graph file or graph6 string; cap is (search, largest n) for a capped command.
+
+    An edge-list header's n is checked against the cap before the graph is
+    built, so a huge header fails fast instead of allocating n vertex sets.
+    """
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             text = fh.read()
@@ -49,7 +55,9 @@ def _load_graph(arg: str) -> Graph:
         if not lines:
             raise CliError(f"{arg}: empty graph file")
         head = lines[0].split()
-        if len(head) == 2 and all(tok.isdigit() for tok in head):
+        if len(head) == 2 and all(tok.isdecimal() for tok in head):
+            if cap is not None and int(head[0]) > cap[1]:
+                raise CliError(f"{cap[0]} is limited to n <= {cap[1]}, got n={int(head[0])}")
             return parse_edge_list(text)
         return parse_graph6(lines[0])
     try:
@@ -201,7 +209,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "pe":
-            g = _load_graph(args.graph)
+            g = _load_graph(args.graph, ("pe_exact", eccentricity.DEFAULT_MAX_N))
             result = pe_exact(g)
             _emit({"schema": SCHEMA, "command": "pe", "n": g.n,
                    "pe": result.value, "witness": list(result.witness)})
@@ -240,7 +248,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "star-c1p":
-            g = _load_graph(args.graph)
+            # only the search is capped; --check verifies a witness at any n
+            cap = None if args.check is not None else ("find_star_c1p", star_c1p.DEFAULT_MAX_N)
+            g = _load_graph(args.graph, cap)
             if args.check is not None:
                 raw = args.check
                 if os.path.exists(raw):

@@ -88,13 +88,13 @@ def _expand(masks: Sequence[int], frontier: int) -> int:
     return out
 
 
-def _grow_mask(g: Graph, seed: int, k: Optional[int] = None) -> int:
-    """Vertices within distance k of the seed set (all reachable if k is None)."""
+def _grow_mask(g: Graph, seed: int, k: int) -> int:
+    """Vertices within distance k of the seed set."""
     masks = g.adj_masks
     seen = seed
     frontier = seed
     steps = 0
-    while frontier and (k is None or steps < k):
+    while frontier and steps < k:
         frontier = _expand(masks, frontier) & ~seen
         seen |= frontier
         steps += 1
@@ -209,7 +209,8 @@ def neighborhood_k(g: Graph, sources: Iterable[int], k: int) -> frozenset[int]:
 def is_connected(g: Graph) -> bool:
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
-    return _grow_mask(g, 1) == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return _reach_mask(g, 0, full) == full
 
 
 def is_path(g: Graph, p: Sequence[int]) -> bool:

@@ -1,4 +1,5 @@
 import pytest
+from conftest import seeded_connected_gnp
 
 from pathecc.asteroidal import find_k_at, min_k_at_free, verify_kat
 from pathecc.central_path import (
@@ -46,6 +47,11 @@ def test_improve_once_requires_bad_eccentricity():
         improve_once(g, 2, (2, 1, 0, 3, 4))  # ecc == k already
     with pytest.raises(ValueError):
         improve_once(g, 1, (9, 0))
+
+
+def test_improve_once_requires_connected_graph():
+    with pytest.raises(ValueError, match="connected"):
+        improve_once(Graph.from_edges(3, [(0, 1)]), 1, (0,))
 
 
 def test_improve_once_shortens_redundant_extremity():
@@ -162,20 +168,44 @@ def test_improve_once_reroutes_around_far_candidate():
     assert {3, 1, 6, 0} <= set(step.path)
 
 
-def test_fallback_ground_truth_path(monkeypatch):
-    """Nothing improvable and no triple: the decision oracle supplies the path."""
+def test_certificate_in_path_loop_raises(monkeypatch):
+    """A certificate after find_k_at's None refutes the step: it names the graph."""
     import pathecc.central_path as cp
 
-    # spider: short legs 1, 2 and a long leg 3-4; seeding with the short legs
-    # leaves the long tip uncovered, and no simple path extends that seed
-    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    monkeypatch.setattr(cp, "improve_once", lambda g, k, p: cp.STUCK)
-    monkeypatch.setattr(cp, "greedy_seed_path", lambda g: (1, 0, 2))
-    trace: list = []
-    d = cp.find_k_dominating_path_or_witness(g, 1, trace=trace)
-    assert any(t["step"] == "ground_truth_path" for t in trace)
-    assert d.path is not None
-    assert path_eccentricity(g, d.path) <= 1
+    # from the greedy seed the loop shortens twice, then certifies (2, 4, 6)
+    monkeypatch.setattr(cp, "find_k_at", lambda g, k: None)
+    with pytest.raises(RuntimeError, match=r"FkE\?G"):
+        cp.find_k_dominating_path_or_witness(subdivided_claw(2), 1)
+
+
+def test_proof_mode_steps_are_sound(connected_upto_5):
+    # the paper's step alone: improve until covered or a k-AT is read off
+    for g in connected_upto_5:
+        for k in (1, 2, 3):
+            p = greedy_seed_path(g)
+            while path_eccentricity(g, p) > k:
+                step = improve_once(g, k, p)
+                assert isinstance(step, (ImprovedPath, Shortened, Certificate))
+                if isinstance(step, Certificate):
+                    assert verify_kat(g, step.witness) and step.witness.k == k
+                    assert find_k_at(g, k) is not None
+                    break
+                p = step.path
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_dichotomy_past_the_oracle_cap(n):
+    paths = 0
+    for seed in range(8):
+        g = seeded_connected_gnp(n, seed=seed)
+        for k in (1, 2, 3):
+            d = find_k_dominating_path_or_witness(g, k)
+            if find_k_at(g, k) is None:
+                assert d.witness is None and path_eccentricity(g, d.path) <= k
+                paths += 1
+            else:
+                assert d.path is None and verify_kat(g, d.witness)
+    assert paths > 0  # the path side runs, not only the witness side
 
 
 def test_dichotomy_biconvex_fixture_prefers_witness():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,17 @@ def test_usage_and_parse_errors(capsys):
     assert code == 2 and "limited" in err
 
 
+@pytest.mark.parametrize("command, cap", [("pe", 12), ("star-c1p", 20)])
+def test_huge_edge_list_header_exits_2_before_building(tmp_path, capsys, command, cap):
+    f = tmp_path / "g.txt"
+    f.write_text("3000000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(f))
+    assert time.perf_counter() - start < 1.0  # the graph is never built
+    assert code == 2 and out == ""
+    assert f"limited to n <= {cap}, got n=3000000" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -245,10 +257,8 @@ def test_invalid_worker_count_exits_2(capsys, monkeypatch):
 _FUZZ = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-# no decimal digits: junk such as '99999999 0' would be a valid edge-list
-# header, and the graph is built before the size cap rejects it
 _junk_line = st.text(
-    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\n\r"),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
     max_size=12,
 )
 
