@@ -5,12 +5,12 @@ clear of the distance-k neighborhood of the third vertex.  Witnesses carry
 those three paths so they can be re-verified independently.
 
 Searching for a triple first labels, for every vertex z, the connected
-components of G - N^k[z] with their vertex bitmasks (after Köhler,
-"Recognizing graphs without asteroidal triples", JDA 2004).  Each labelling
-is one sweep of mask BFS steps, and afterwards every triple is decided by
-three bit tests.  A search thus costs n labellings plus at most O(n^3) bit
-tests, not three BFS runs per triple; paths are built only for the triple
-that is reported.
+components of C_z - N^k[z] with their vertex bitmasks, where C_z is z's
+component of G (after Köhler, "Recognizing graphs without asteroidal
+triples", JDA 2004).  Each labelling is one sweep of mask BFS steps, and
+afterwards every triple is decided by three bit tests.  A search thus
+costs n + 1 labellings plus at most O(n^3) bit tests, not three BFS runs
+per triple; paths are built only for the triple that is reported.
 """
 
 from __future__ import annotations
@@ -78,24 +78,33 @@ def verify_kat(g: Graph, w: KatWitness) -> bool:
     return True
 
 
+def _label_components(g: Graph, allowed: int) -> list[int]:
+    """row[v]: mask of v's component in G[allowed]; 0 for v outside allowed."""
+    row = [0] * g.n
+    rest = allowed
+    while rest:
+        comp = _reach_mask(g, (rest & -rest).bit_length() - 1, allowed)
+        rest &= ~comp
+        m = comp
+        while m:
+            low = m & -m
+            row[low.bit_length() - 1] = comp
+            m ^= low
+    return row
+
+
 def _component_labels(g: Graph, k: int) -> list[list[int]]:
-    """labels[z][v]: mask of v's component in G - N^k[z]; 0 for v in N^k[z]."""
-    full = (1 << g.n) - 1
-    labels = []
-    for z in range(g.n):
-        allowed = full & ~_grow_mask(g, 1 << z, k)
-        row = [0] * g.n
-        rest = allowed
-        while rest:
-            comp = _reach_mask(g, (rest & -rest).bit_length() - 1, allowed)
-            rest &= ~comp
-            m = comp
-            while m:
-                low = m & -m
-                row[low.bit_length() - 1] = comp
-                m ^= low
-        labels.append(row)
-    return labels
+    """labels[z][v]: mask of v's component in C_z - N^k[z]; 0 elsewhere.
+
+    C_z is z's component of G.  A k-AT lies inside one component of G, so
+    labelling only C_z loses no triple, and on a graph with many
+    components each z stores masks for its own component alone.
+    """
+    whole = _label_components(g, (1 << g.n) - 1)
+    return [
+        _label_components(g, whole[z] & ~_grow_mask(g, 1 << z, k))
+        for z in range(g.n)
+    ]
 
 
 def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:

@@ -42,11 +42,15 @@ class CliError(Exception):
     pass
 
 
-def _load_graph(arg: str, cap: Optional[tuple[str, int]] = None) -> Graph:
-    """A graph file or graph6 string; cap is (search, largest n) for a capped command.
+def _load_graph(
+    arg: str, cap: Optional[tuple[str, int]] = None, connected: Optional[str] = None
+) -> Graph:
+    """A graph file or graph6 string; cap is (search, largest n) for a capped
+    command, connected names the search for one that needs a connected graph.
 
-    An edge-list header's n is checked against the cap before the graph is
-    built, so a huge header fails fast instead of allocating n vertex sets.
+    An edge-list header is checked before the graph is built, n against the
+    cap and, since a connected graph has m >= n - 1 edges, n <= m + 1, so
+    a huge header fails fast instead of allocating n vertex sets.
     """
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
@@ -56,8 +60,12 @@ def _load_graph(arg: str, cap: Optional[tuple[str, int]] = None) -> Graph:
             raise CliError(f"{arg}: empty graph file")
         head = lines[0].split()
         if len(head) == 2 and all(tok.isdecimal() for tok in head):
-            if cap is not None and int(head[0]) > cap[1]:
-                raise CliError(f"{cap[0]} is limited to n <= {cap[1]}, got n={int(head[0])}")
+            n, m = int(head[0]), int(head[1])
+            if cap is not None and n > cap[1]:
+                raise CliError(f"{cap[0]} is limited to n <= {cap[1]}, got n={n}")
+            if connected is not None and n > m + 1:
+                raise CliError(f"{connected} requires a connected graph, "
+                               f"got n={n} with m={m} edges")
             return parse_edge_list(text)
         return parse_graph6(lines[0])
     try:
@@ -216,7 +224,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "ecc":
-            g = _load_graph(args.graph)
+            g = _load_graph(args.graph, connected="path eccentricity")
             path = _parse_path_arg(args.path)
             _emit({"schema": SCHEMA, "command": "ecc",
                    "ecc": path_eccentricity(g, path)})
@@ -234,7 +242,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "min-kat":
-            g = _load_graph(args.graph)
+            g = _load_graph(args.graph, connected="min_k_at_free")
             _emit({"schema": SCHEMA, "command": "min-kat",
                    "min_k": min_k_at_free(g)})
             return 0
@@ -274,7 +282,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "central-path":
-            g = _load_graph(args.graph)
+            g = _load_graph(args.graph, connected="find_k_dominating_path_or_witness")
             trace: Optional[list] = [] if args.trace else None
             d = find_k_dominating_path_or_witness(g, args.k, trace=trace)
             if trace is not None:

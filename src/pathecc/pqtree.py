@@ -2,9 +2,10 @@
 
 The PQ-tree here is persistent: a reduction returns a new tree and leaves
 the input untouched, so backtracking searches can keep whole stacks of
-trees and share structure for free.  The reduction applies the classic
-template set (leaf, P1-P6, Q1-Q3) via a recursive labeling pass instead of
-the amortized bubble-up bookkeeping; at the matrix sizes this library
+trees and share structure for free.  The reduction applies the
+Booth-Lueker templates (L1, P1-P6, Q1-Q3) in one recursive pass that
+serves the pertinent root and the partial nodes below it alike, instead
+of the amortized bubble-up bookkeeping; at the matrix sizes this library
 handles, clarity wins over the linear-time constant.
 """
 
@@ -117,10 +118,6 @@ def _q(children: Sequence[Node]) -> Node:
     return QNode(tuple(children), _union_leaves(children))
 
 
-def _group(nodes: Sequence[Node]) -> Node:
-    return nodes[0] if len(nodes) == 1 else _p(nodes)
-
-
 @dataclass(frozen=True)
 class PQTree:
     """Rooted tree over a fixed leaf set; P children permute, Q children flip."""
@@ -132,7 +129,7 @@ class PQTree:
         if rows < 1:
             raise ValueError("a PQ-tree needs at least one leaf")
         leaves = [Leaf(i) for i in range(rows)]
-        return cls(leaves[0] if rows == 1 else _p(leaves))
+        return cls(_p(leaves))
 
     @property
     def leaf_set(self) -> frozenset[int]:
@@ -156,149 +153,87 @@ def frontier(t: PQTree) -> tuple[int, ...]:
 
 # --- reduction ------------------------------------------------------------
 #
-# _label classifies a non-root node against the constraint set and returns
-#   ("e", node)      all leaves outside s (template L1/P1/Q1, empty side)
-#   ("f", node)      all leaves inside s  (same templates, full side)
-#   ("p", children)  singly partial: an ordered child tuple, empty leaves
-#                    at the left end and full leaves at the right end
-#                    (templates P3, P5, Q2)
-#   None             the constraint is unsatisfiable below this node
+# One template pass serves the pertinent root and every partial node below
+# it.  _arrange sorts a partial node's children into empty ones (leaves
+# outside s) and full ones (leaves inside s), both kept as they are
+# (templates L1, P1, Q1), and partial ones, arranged recursively; then
+#   P-node  partial children meet around the bundled full block:
+#           mid = partial0 + (P(full),) + reversed(partial1)
+#           below the root (at most 1 partial): P(empty) + mid  (P3, P5)
+#           at the root (at most 2 partials):  P(empty..., Q(mid))  (P2, P4, P6)
+#   Q-node  children read e* [p] f* [p-reversed e*], the bracketed tail only
+#           at the root (Q3); below it the scan also runs right to left (Q2)
+# Below the root the result is the node's partial child sequence, empty
+# leaves at the left end and full leaves at the right end; at the root it
+# is the replacement node.  None means s cannot be made consecutive.
 
-_Labeled = tuple[str, object]
 
-
-def _label(node: Node, s: frozenset[int]) -> Optional[_Labeled]:
-    lv = node.leaves
-    if lv.isdisjoint(s):
-        return ("e", node)
-    if lv <= s:
-        return ("f", node)
-    # a leaf is never partial, so node has children
-    subs = []
+def _arrange(node: Node, s: frozenset[int], root: bool) -> Optional[Union[tuple, Node]]:
+    subs: list[tuple[str, object]] = []
     for c in node.children:  # type: ignore[union-attr]
-        lab = _label(c, s)
-        if lab is None:
-            return None
-        subs.append(lab)
+        lv = c.leaves
+        if lv.isdisjoint(s):
+            subs.append(("e", c))
+        elif lv <= s:
+            subs.append(("f", c))
+        else:
+            seq = _arrange(c, s, False)
+            if seq is None:
+                return None
+            subs.append(("p", seq))
 
     if isinstance(node, PNode):
         empty = [n for t, n in subs if t == "e"]
         full = [n for t, n in subs if t == "f"]
         parts = [p for t, p in subs if t == "p"]
-        if len(parts) == 0:
-            # P3: both sides nonempty because the node is partial
-            return ("p", (_group(empty), _group(full)))
-        if len(parts) == 1:
-            # P5: empties on the empty end, fulls on the full end
-            seq: tuple = ()
-            if empty:
-                seq += (_group(empty),)
-            seq += tuple(parts[0])
-            if full:
-                seq += (_group(full),)
-            return ("p", seq)
-        return None
+        if len(parts) > (2 if root else 1):
+            return None
+        mid = (
+            (parts[0] if parts else ())
+            + ((_p(full),) if full else ())
+            + (parts[1][::-1] if len(parts) == 2 else ())  # type: ignore[index]
+        )
+        if root:
+            return _p(tuple(empty) + (_q(mid),))
+        return ((_p(empty),) if empty else ()) + mid
 
-    # QNode: children must read e* [partial] f* in one orientation (Q2)
-    for ordered in (subs, list(reversed(subs))):
-        spliced = _parse_singly_partial(ordered)
-        if spliced is not None:
-            return ("p", spliced)
+    for ordered in (subs,) if root else (subs, subs[::-1]):
+        out: list[Node] = []
+        state = 0  # 0 leading empties, 1 full block, 2 trailing empties
+        for tag, payload in ordered:
+            if tag == "e" and state == 1 and root:
+                state = 2
+            if tag == "e" and state != 1:
+                out.append(payload)  # type: ignore[arg-type]
+            elif tag == "f" and state != 2:
+                out.append(payload)  # type: ignore[arg-type]
+                state = 1
+            elif tag == "p" and state == 0:
+                out.extend(payload)  # type: ignore[arg-type]
+                state = 1
+            elif tag == "p" and state == 1 and root:
+                out.extend(reversed(payload))  # type: ignore[call-overload]
+                state = 2
+            else:
+                break
+        else:
+            return _q(out) if root else tuple(out)
     return None
 
 
-def _parse_singly_partial(subs: Sequence[_Labeled]) -> Optional[tuple]:
-    out: list[Node] = []
-    in_full = False
-    for tag, payload in subs:
-        if not in_full:
-            if tag == "e":
-                out.append(payload)  # type: ignore[arg-type]
-            elif tag == "p":
-                out.extend(payload)  # type: ignore[arg-type]
-                in_full = True
-            else:
-                out.append(payload)  # type: ignore[arg-type]
-                in_full = True
-        else:
-            if tag != "f":
-                return None
-            out.append(payload)  # type: ignore[arg-type]
-    return tuple(out)
-
-
-def _apply_root(node: Node, s: frozenset[int]) -> Optional[Node]:
-    """Templates at the pertinent root, where both ends may stay interior."""
-    subs = []
-    for c in node.children:  # type: ignore[union-attr]
-        lab = _label(c, s)
-        if lab is None:
-            return None
-        subs.append(lab)
-
-    if isinstance(node, PNode):
-        empty = [n for t, n in subs if t == "e"]
-        full = [n for t, n in subs if t == "f"]
-        parts = [p for t, p in subs if t == "p"]
-        if len(parts) == 0:
-            # P2: bundle the full children so they stay adjacent
-            return _p(tuple(empty) + (_group(full),))
-        if len(parts) == 1:
-            # P4
-            mid = tuple(parts[0]) + ((_group(full),) if full else ())
-            qq = _q(mid)
-            return _p(tuple(empty) + (qq,)) if empty else qq
-        if len(parts) == 2:
-            # P6: both partial children merge around the full block
-            mid = (
-                tuple(parts[0])
-                + ((_group(full),) if full else ())
-                + tuple(reversed(parts[1]))
-            )
-            qq = _q(mid)
-            return _p(tuple(empty) + (qq,)) if empty else qq
-        return None
-
-    # Q root (Q3): children read e* [partial] f* [partial-reversed] e*
-    out: list[Node] = []
-    state = 0  # 0 leading empties, 1 full block, 2 trailing empties
-    for tag, payload in subs:
-        if tag == "e":
-            if state == 1:
-                state = 2
-            out.append(payload)  # type: ignore[arg-type]
-        elif tag == "f":
-            if state == 0:
-                state = 1
-            elif state == 2:
-                return None
-            out.append(payload)  # type: ignore[arg-type]
-        else:
-            if state == 0:
-                out.extend(payload)  # type: ignore[arg-type]
-                state = 1
-            elif state == 1:
-                out.extend(reversed(payload))  # type: ignore[arg-type]
-                state = 2
-            else:
-                return None
-    return _q(tuple(out))
-
-
 def _reduce_node(node: Node, s: frozenset[int]) -> Optional[Node]:
-    if node.leaves == s or isinstance(node, Leaf):
+    # s <= node.leaves holds here, so a leaf always equals s
+    if node.leaves == s:
         return node
     # descend while one child wholly contains the constraint
-    for i, c in enumerate(node.children):
+    for i, c in enumerate(node.children):  # type: ignore[union-attr]
         if s <= c.leaves:
             c2 = _reduce_node(c, s)
             if c2 is None:
                 return None
-            children = node.children[:i] + (c2,) + node.children[i + 1 :]
-            if isinstance(node, PNode):
-                return PNode(children, node.leaves)
-            return QNode(children, node.leaves)
-    return _apply_root(node, s)
+            children = node.children[:i] + (c2,) + node.children[i + 1 :]  # type: ignore[union-attr]
+            return type(node)(children, node.leaves)  # type: ignore[call-arg]
+    return _arrange(node, s, True)  # type: ignore[return-value]
 
 
 def pq_reduce(t: PQTree, s: Iterable[int]) -> Optional[PQTree]:
@@ -337,9 +272,8 @@ def has_c1p(m: BinaryMatrix) -> Optional[tuple[int, ...]]:
     columns are vacuously consecutive and skipped.
     """
     tree = PQTree.universal(m.rows)
-    cols = sorted(range(m.cols), key=lambda j: (-len(m.column_ones(j)), j))
-    for j in cols:
-        ones = m.column_ones(j)
+    columns = sorted(map(m.column_ones, range(m.cols)), key=len, reverse=True)
+    for ones in columns:
         if len(ones) in (0, m.rows):
             continue
         reduced = pq_reduce(tree, ones)

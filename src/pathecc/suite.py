@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import eccentricity, star_c1p
@@ -82,28 +83,22 @@ class _GraphCase:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._cache: dict = {}
 
-    def _get(self, key: str, fn: Callable):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def connected(self) -> bool:
-        return self._get("conn", lambda: is_connected(self.g))
+        return is_connected(self.g)
 
-    @property
+    @cached_property
     def star(self) -> Optional[OrderingWitness]:
-        return self._get("star", lambda: find_star_c1p(self.g))
+        return find_star_c1p(self.g)
 
-    @property
+    @cached_property
     def min_k(self) -> int:
-        return self._get("min_k", lambda: min_k_at_free(self.g))
+        return min_k_at_free(self.g)
 
-    @property
+    @cached_property
     def pe(self) -> int:
-        return self._get("pe", lambda: pe_exact(self.g).value)
+        return pe_exact(self.g).value
 
 
 _SKIP = object()

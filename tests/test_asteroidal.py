@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,3 +172,19 @@ def test_component_labels_match_reference_on_sparse_gnp(n):
 def test_find_k_at_rejects_level_zero_at_every_size(n):
     with pytest.raises(ValueError):
         find_k_at(path_graph(n) if n else Graph.from_edges(0), 0)
+
+
+def test_find_k_at_memory_stays_per_component():
+    # 600 vertices, 593 of them isolated: labelling every component of
+    # G - N^k[z] for every z would store about n^2 wide masks
+    claw = subdivided_claw(2)
+    g = Graph.from_edges(600, claw.edges())
+    tracemalloc.start()
+    try:
+        w = find_k_at(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and w.triple == (2, 4, 6)
+    assert w == find_k_at(claw, 1)
+    assert peak < 10 * 2**20

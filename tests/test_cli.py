@@ -171,15 +171,22 @@ def test_usage_and_parse_errors(capsys):
     assert code == 2 and "limited" in err
 
 
-@pytest.mark.parametrize("command, cap", [("pe", 12), ("star-c1p", 20)])
+@pytest.mark.parametrize(
+    "command, cap",
+    [("pe", 12), ("star-c1p", 20), ("ecc", None), ("min-kat", None), ("central-path", None)],
+)
 def test_huge_edge_list_header_exits_2_before_building(tmp_path, capsys, command, cap):
     f = tmp_path / "g.txt"
     f.write_text("3000000 0\n")
+    extra = {"ecc": ["0"], "central-path": ["--k", "1"]}.get(command, [])
     start = time.perf_counter()
-    code, out, err = run(capsys, command, str(f))
+    code, out, err = run(capsys, command, str(f), *extra)
     assert time.perf_counter() - start < 1.0  # the graph is never built
     assert code == 2 and out == ""
-    assert f"limited to n <= {cap}, got n=3000000" in err
+    if cap is None:  # a connected graph needs m >= n - 1 edges
+        assert err.count("\n") == 1 and "requires a connected graph" in err
+    else:
+        assert f"limited to n <= {cap}, got n=3000000" in err
 
 
 def test_help_exits_zero(capsys):

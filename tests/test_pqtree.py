@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -181,3 +183,43 @@ def test_matrix_text_roundtrip():
         parse_matrix("2 2\n01\n2x")
     with pytest.raises(ValueError):
         BinaryMatrix.from_rows([[0, 1], [1]])
+
+
+def _seeded_reductions():
+    """Frontiers of a seeded random stream of reductions, None on failure.
+
+    For each n = 2..12, half the streams draw intervals of a hidden
+    permutation (mostly feasible, so the trees grow deep Q-nodes) and half
+    draw arbitrary row sets (mostly infeasible).  A failed reduction keeps
+    the previous tree, so the stream continues.
+    """
+    rng = random.Random(20261018)
+    out = []
+    for n in range(2, 13):
+        for stream in range(12):
+            hidden = list(range(n))
+            rng.shuffle(hidden)
+            t = PQTree.universal(n)
+            for _ in range(3 * n):
+                if stream % 2 == 0:
+                    i = rng.randrange(n)
+                    j = rng.randrange(i + 1, n + 1)
+                    s = hidden[i:j]
+                else:
+                    s = rng.sample(range(n), rng.randrange(1, n + 1))
+                reduced = pq_reduce(t, s)
+                out.append(None if reduced is None else frontier(reduced))
+                if reduced is not None:
+                    t = reduced
+    return out
+
+
+# sha256 of the stored frontiers of _seeded_reductions, one repr per line
+REDUCTIONS_SHA256 = "43b9c9cee44099302f5fc570d4be291739580432dfea620448b4ca208139185d"
+
+
+def test_reduction_tree_shapes_are_pinned():
+    results = _seeded_reductions()
+    assert len(results) > 2000
+    lines = "\n".join(repr(r) for r in results)
+    assert hashlib.sha256(lines.encode()).hexdigest() == REDUCTIONS_SHA256
