@@ -22,8 +22,8 @@ from .graphs import (
     Graph,
     _check_vertices,
     _grow_mask,
-    _reach_mask,
     _shortest_path,
+    _sweep,
     is_connected,
     is_path,
     neighborhood_k,
@@ -80,10 +80,11 @@ def verify_kat(g: Graph, w: KatWitness) -> bool:
 
 def _label_components(g: Graph, allowed: int) -> list[int]:
     """row[v]: mask of v's component in G[allowed]; 0 for v outside allowed."""
+    masks = g.adj_masks
     row = [0] * g.n
     rest = allowed
     while rest:
-        comp = _reach_mask(g, (rest & -rest).bit_length() - 1, allowed)
+        comp = _sweep(masks, rest & -rest, allowed, -1)[0]
         rest &= ~comp
         m = comp
         while m:
@@ -93,18 +94,20 @@ def _label_components(g: Graph, allowed: int) -> list[int]:
     return row
 
 
-def _component_labels(g: Graph, k: int) -> list[list[int]]:
-    """labels[z][v]: mask of v's component in C_z - N^k[z]; 0 elsewhere.
+def _component_labels(g: Graph, k: int) -> tuple[list[int], list[list[int]]]:
+    """whole[v]: mask of C_v; labels[z][v]: mask of v's component in C_z - N^k[z].
 
-    C_z is z's component of G.  A k-AT lies inside one component of G, so
-    labelling only C_z loses no triple, and on a graph with many
-    components each z stores masks for its own component alone.
+    C_z is z's component of G, and labels[z][v] is 0 for v outside it.  A
+    k-AT lies inside one component of G, so labelling only C_z loses no
+    triple, and on a graph with many components each z stores masks for
+    its own component alone.
     """
     whole = _label_components(g, (1 << g.n) - 1)
-    return [
+    labels = [
         _label_components(g, whole[z] & ~_grow_mask(g, 1 << z, k))
         for z in range(g.n)
     ]
+    return whole, labels
 
 
 def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:
@@ -116,10 +119,14 @@ def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    labels = _component_labels(g, k)
+    whole, labels = _component_labels(g, k)
     for a in range(g.n):
         row_a = labels[a]
-        for b in range(a + 1, g.n):
+        # b > a in a's component of G; no triple spans two components
+        later = whole[a] >> (a + 1)
+        while later:
+            low_b = later & -later
+            b = a + low_b.bit_length()
             # candidates c > b passing the two tests that involve a and b
             cands = row_a[b] & labels[b][a] & ~((2 << b) - 1)
             while cands:
@@ -128,6 +135,7 @@ def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:
                 if labels[c][a] >> b & 1:
                     return (a, b, c)
                 cands ^= low
+            later ^= low_b
     return None
 
 

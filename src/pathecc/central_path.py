@@ -24,7 +24,7 @@ from .graphs import (
     _mask_of,
     _mask_to_set,
     _shortest_path,
-    bfs_distances,
+    _sweep,
     is_connected,
     is_path,
 )
@@ -94,13 +94,24 @@ def _cover_mask(g: Graph, vs: Sequence[int], k: int) -> int:
     return _grow_mask(g, _mask_of(vs), k)
 
 
+def _lowest(m: int) -> int:
+    """Smallest vertex of a nonempty mask."""
+    return (m & -m).bit_length() - 1
+
+
+def _nearest(g: Graph, src: int, seq: Sequence[int]) -> int:
+    """Entry of seq nearest to src, earliest in seq on ties; g is connected."""
+    _, layer, _ = _sweep(g.adj_masks, 1 << src, (1 << g.n) - 1, -1, _mask_of(seq))
+    return next(t for t in seq if layer >> t & 1)
+
+
 def _choose_uncovered(g: Graph, k: int, p: Sequence[int]) -> Optional[int]:
     """Farthest vertex from p, smallest index on ties; None if all are within k."""
-    dist = bfs_distances(g, p)
-    if None in dist:
+    full = (1 << g.n) - 1
+    reached, far, depth = _sweep(g.adj_masks, _mask_of(p), full, -1)
+    if reached != full:
         raise ValueError("improve_once requires a connected graph")
-    far = max(range(g.n), key=lambda v: (dist[v], -v))
-    return far if dist[far] > k else None
+    return _lowest(far) if depth > k else None
 
 
 def greedy_seed_path(g: Graph) -> tuple[int, ...]:
@@ -109,10 +120,9 @@ def greedy_seed_path(g: Graph) -> tuple[int, ...]:
         raise ValueError("greedy_seed_path requires a connected graph")
     if g.n == 1:
         return (0,)
-    d0 = bfs_distances(g, (0,))
-    s = max(range(g.n), key=lambda v: (d0[v], -v))
-    ds = bfs_distances(g, (s,))
-    t = max(range(g.n), key=lambda v: (ds[v], -v))
+    full = (1 << g.n) - 1
+    s = _lowest(_sweep(g.adj_masks, 1, full, -1)[1])
+    t = _lowest(_sweep(g.adj_masks, 1 << s, full, -1)[1])
     return _shortest_path(g, s, t)
 
 
@@ -144,20 +154,18 @@ def _end_step(
     u = p[0]
     rest = p[1:]
     cov_rest = _cover_mask(g, rest, k)
-    du = bfs_distances(g, (u,))
-    cands = [x for x in range(g.n) if du[x] == k and not cov_rest >> x & 1]
+    _, layer, depth = _sweep(g.adj_masks, 1 << u, (1 << g.n) - 1, k)
+    cands = layer & ~cov_rest if depth == k else 0
     if not cands:
         # the extremity's distance-k ball is already covered by the rest
         assert _cover_mask(g, p, k) == cov_rest
         return Shortened(rest)
-    cov_wa = _cover_mask(g, path_wa, k)
-    for x in cands:
-        if not cov_wa >> x & 1:
-            return x
+    off_wa = cands & ~_cover_mask(g, path_wa, k)
+    if off_wa:
+        return _lowest(off_wa)
     # reroute through the connector: walk w .. y .. y' .. u, then along p
-    c = cands[0]
-    dc = bfs_distances(g, (c,))
-    y = min(path_wa, key=lambda t: (dc[t], path_wa.index(t)))
+    c = _lowest(cands)
+    y = _nearest(g, c, path_wa)
     path_yc = _shortest_path(g, y, c)
     path_cu = _shortest_path(g, c, u)
     on_yc = set(path_yc)
@@ -186,8 +194,7 @@ def _reroute_far(
     out to the other candidate.  The new walk detours p[-1] .. p[0] through
     the two tails and re-enters p next to a, freeing the connector to w.
     """
-    du = bfs_distances(g, (far_prime,))
-    x = min(path_far, key=lambda t: (du[t], path_far.index(t)))
+    x = _nearest(g, far_prime, path_far)
     path_xu = _shortest_path(g, x, far_prime)
     on_end = set(path_end)
     x2 = next(t for t in path_xu if t in on_end)
@@ -232,8 +239,7 @@ def survey_improvement(g: Graph, k: int, p: Sequence[int]) -> ImprovementState:
     w = _choose_uncovered(g, k, p)
     if w is None:
         raise ValueError("improve_once requires a path with eccentricity above k")
-    dw = bfs_distances(g, (w,))
-    a = min(p, key=lambda t: (dw[t], t))
+    a = _nearest(g, w, sorted(p))
     path_wa = _shortest_path(g, w, a)
     assert set(path_wa) & set(p) == {a}
     return ImprovementState(p, _mask_to_set(_cover_mask(g, p, k)), w, a, path_wa)

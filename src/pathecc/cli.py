@@ -316,6 +316,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "hunt":
             graphs, name = _load_corpus(args.corpus)
             result = hunt_conjecture(graphs, corpus_name=name)
+            if result.searched == 0:
+                raise CliError(f"hunt checked no graph: the corpus {name} is empty")
             if result.checked == 0:
                 raise CliError(
                     f"hunt checked no graph: all {result.searched} in {name} are "

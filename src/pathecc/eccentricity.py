@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import (
-    Graph,
-    _ecc_of_mask,
-    _mask_of,
-    _reach_mask,
-    is_connected,
-    is_path,
-)
+from .graphs import Graph, _mask_of, _sweep, is_connected, is_path
 
 DEFAULT_MAX_N = 12
 
@@ -35,8 +28,9 @@ def path_eccentricity(g: Graph, p: Sequence[int]) -> int:
     """Largest distance from any vertex of g to the path p."""
     if not is_path(g, p):
         raise ValueError(f"{tuple(p)} is not a path of the graph")
-    ecc = _ecc_of_mask(g, _mask_of(p))
-    if ecc is None:
+    full = (1 << g.n) - 1
+    reached, _, ecc = _sweep(g.adj_masks, _mask_of(p), full, -1)
+    if reached != full:
         raise ValueError("path eccentricity requires a connected graph")
     return ecc
 
@@ -64,20 +58,25 @@ def _first_best_path(
     """
     best: Optional[tuple[int, ...]] = None
     path: list[int] = []
+    masks = g.adj_masks
+    full = (1 << g.n) - 1
 
+    # limit > stop >= 0 while the search runs, so limit - 1 is a real layer
+    # bound, never the -1 of an unbounded sweep: limit - 1 layers reach
+    # every vertex exactly when the seed's eccentricity beats limit
     def extend(v: int, pmask: int) -> bool:
         nonlocal limit, best
         path.append(v)
         pmask |= 1 << v
         try:
             if path[0] <= v:
-                ecc = _ecc_of_mask(g, pmask)
-                if ecc < limit:
+                reached, _, ecc = _sweep(masks, pmask, full, limit - 1)
+                if reached == full:
                     limit, best = ecc, tuple(path)
                     if limit <= stop:
                         return True
-            reach = _reach_mask(g, v, ~(pmask & ~(1 << v)))
-            if _ecc_of_mask(g, pmask | reach) >= limit:
+            reach = _sweep(masks, 1 << v, full & ~pmask | 1 << v, -1)[0]
+            if _sweep(masks, pmask | reach, full, limit - 1)[0] != full:
                 return False
             for y in sorted(g.adj[v]):
                 if not pmask & (1 << y):

@@ -302,20 +302,18 @@ def parse_graph6(line: str) -> Graph:
             f"trailing graph6 bytes at byte {offset + body + need}"
         )
     edges = []
-    idx = 0
+    # the bits address the pairs (i, j), i < j, in column-major order
+    i, j = 0, 1
     for pos in range(need):
         group = val(body + pos)
         for shift in (5, 4, 3, 2, 1, 0):
-            if idx >= nbits:
+            if j >= n:
                 break
             if (group >> shift) & 1:
-                # bit idx addresses the pair (i, j) in column-major order
-                j = 1
-                while (j + 1) * j // 2 <= idx:
-                    j += 1
-                i = idx - j * (j - 1) // 2
                 edges.append((i, j))
-            idx += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph.from_edges(n, edges)
 
 

@@ -77,55 +77,41 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
 
 # Bitmask adjacency (Graph.adj_masks) is the hot-path representation: BFS
 # layers become a few integer operations, which matters once the harness
-# grinds through thousands of small graphs.
+# grinds through thousands of small graphs.  _sweep is the one reach and
+# distance core: N^k[S], components, eccentricities, farthest and nearest
+# vertices are read off it.  bfs_distances is the public reference map.
 
-def _expand(masks: Sequence[int], frontier: int) -> int:
-    out = 0
-    while frontier:
-        low = frontier & -frontier
-        out |= masks[low.bit_length() - 1]
-        frontier &= frontier - 1
-    return out
+def _sweep(
+    masks: Sequence[int], seed: int, allowed: int, limit: int, until: int = 0
+) -> tuple[int, int, int]:
+    """BFS layers around the seed mask inside the allowed mask (seed within it).
+
+    Stops after ``limit`` layers (-1: no limit), once the last layer meets
+    ``until``, once everything allowed is reached, or when nothing new is
+    reachable.  Returns the reached mask, the last layer (the seed if no
+    layer was added) and its distance from the seed.
+    """
+    reached = layer = seed
+    depth = 0
+    while depth != limit and not layer & until and reached != allowed:
+        grown = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            grown |= masks[low.bit_length() - 1]
+            rest ^= low
+        grown &= allowed & ~reached
+        if not grown:
+            break
+        reached |= grown
+        layer = grown
+        depth += 1
+    return reached, layer, depth
 
 
 def _grow_mask(g: Graph, seed: int, k: int) -> int:
     """Vertices within distance k of the seed set."""
-    masks = g.adj_masks
-    seen = seed
-    frontier = seed
-    steps = 0
-    while frontier and steps < k:
-        frontier = _expand(masks, frontier) & ~seen
-        seen |= frontier
-        steps += 1
-    return seen
-
-
-def _reach_mask(g: Graph, start: int, allowed: int) -> int:
-    """Vertices reachable from start inside the allowed mask (start included)."""
-    masks = g.adj_masks
-    seen = (1 << start) & allowed
-    frontier = seen
-    while frontier:
-        frontier = _expand(masks, frontier) & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
-def _ecc_of_mask(g: Graph, seed: int) -> Optional[int]:
-    """Max distance from any vertex to the seed set; None if something is unreachable."""
-    masks = g.adj_masks
-    full = (1 << g.n) - 1
-    seen = seed
-    frontier = seed
-    d = 0
-    while seen != full:
-        frontier = _expand(masks, frontier) & ~seen
-        if not frontier:
-            return None
-        seen |= frontier
-        d += 1
-    return d
+    return _sweep(g.adj_masks, seed, (1 << g.n) - 1, k)[0]
 
 
 def _mask_of(vs: Iterable[int]) -> int:
@@ -210,7 +196,7 @@ def is_connected(g: Graph) -> bool:
     if g.n < 1:
         raise ValueError("connectivity is undefined for the empty graph")
     full = (1 << g.n) - 1
-    return _reach_mask(g, 0, full) == full
+    return _sweep(g.adj_masks, 1, full, -1)[0] == full
 
 
 def is_path(g: Graph, p: Sequence[int]) -> bool:

@@ -75,10 +75,7 @@ def format_matrix(m: BinaryMatrix) -> str:
 @dataclass(frozen=True)
 class Leaf:
     row: int
-
-    @property
-    def leaves(self) -> frozenset[int]:
-        return frozenset((self.row,))
+    leaves: frozenset[int]  # {row}, stored so reductions read it for free
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,7 @@ class PQTree:
     def universal(cls, rows: int) -> "PQTree":
         if rows < 1:
             raise ValueError("a PQ-tree needs at least one leaf")
-        leaves = [Leaf(i) for i in range(rows)]
-        return cls(_p(leaves))
-
-    @property
-    def leaf_set(self) -> frozenset[int]:
-        return self.root.leaves
+        return cls(_p([Leaf(i, frozenset((i,))) for i in range(rows)]))
 
 
 def frontier(t: PQTree) -> tuple[int, ...]:
@@ -245,7 +237,7 @@ def pq_reduce(t: PQTree, s: Iterable[int]) -> Optional[PQTree]:
     ss = frozenset(s)
     if not ss:
         raise ValueError("cannot reduce by an empty row set")
-    unknown = ss - t.leaf_set
+    unknown = ss - t.root.leaves
     if unknown:
         raise ValueError(f"unknown rows in constraint: {sorted(unknown)}")
     root = _reduce_node(t.root, ss)

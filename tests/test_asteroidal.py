@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -188,3 +189,12 @@ def test_find_k_at_memory_stays_per_component():
     assert w is not None and w.triple == (2, 4, 6)
     assert w == find_k_at(claw, 1)
     assert peak < 10 * 2**20
+
+
+def test_find_k_at_skips_pairs_across_components():
+    # b is scanned only inside a's component of G, so isolated vertices
+    # cost a labelling each but no pair scan
+    g = Graph.from_edges(3000, [])
+    start = time.perf_counter()
+    assert find_k_at(g, 1) is None
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from conftest import seeded_connected_gnp
 
@@ -11,7 +13,14 @@ from pathecc.central_path import (
     improve_once,
 )
 from pathecc.eccentricity import has_path_with_ecc_at_most, path_eccentricity
-from pathecc.families import cycle, fig_biconvex, parse_graph6, path_graph, subdivided_claw
+from pathecc.families import (
+    cycle,
+    emit_graph6,
+    fig_biconvex,
+    parse_graph6,
+    path_graph,
+    subdivided_claw,
+)
 from pathecc.graphs import Graph, is_path
 
 
@@ -191,6 +200,30 @@ def test_proof_mode_steps_are_sound(connected_upto_5):
                     assert find_k_at(g, k) is not None
                     break
                 p = step.path
+
+
+# sha256 over the connected graphs with n <= 6 and k = 1..3 of every
+# dichotomy answer with its trace, then every proof-mode step from the seed
+DICHOTOMY_SHA256 = "824ae0531a70b015a6d1004f695e057db94205e6b73bf2baebbab411860e14c0"
+
+
+def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
+    lines = []
+    for g in connected_upto_6:
+        for k in (1, 2, 3):
+            trace: list = []
+            d = find_k_dominating_path_or_witness(g, k, trace=trace)
+            lines.append(repr((emit_graph6(g), k, d, trace)))
+            p = greedy_seed_path(g)
+            while path_eccentricity(g, p) > k:
+                step = improve_once(g, k, p)
+                lines.append(repr(step))
+                if isinstance(step, Certificate):
+                    break
+                p = step.path
+    assert len(lines) > 450
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DICHOTOMY_SHA256
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

@@ -232,10 +232,17 @@ def test_unexpected_error_exits_2_in_one_line(capsys, monkeypatch):
     assert "internal error: KeyError" in err and "Traceback" not in err
 
 
-def test_hunt_with_nothing_checked_exits_2(capsys):
-    code, out, err = run(capsys, "hunt", "gen:clique:13")
+@pytest.mark.parametrize("empty", [False, True], ids=["oversized", "empty-file"])
+def test_hunt_with_nothing_checked_exits_2(tmp_path, capsys, empty):
+    corpus = "gen:clique:13"
+    if empty:
+        (tmp_path / "empty.g6").write_text("")
+        corpus = str(tmp_path / "empty.g6")
+    code, out, err = run(capsys, "hunt", corpus)
     assert code == 2 and out == ""
     assert "checked no graph" in err
+    assert ("is empty" in err) == empty
+    assert ("oversized or disconnected" in err) != empty
 
 
 def test_hunt_notes_skipped_graphs_on_stderr(tmp_path, capsys):

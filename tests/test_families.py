@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 import weakref
 
 import pytest
@@ -171,6 +172,25 @@ def test_graph6_header_and_long_form():
     big = path_graph(70)
     assert parse_graph6(emit_graph6(big)) == big
     assert emit_graph6(big)[0] == "~"
+
+
+def test_graph6_dense_decode():
+    # one step per pair, not a column search per set bit
+    k400 = clique(400)
+    line = emit_graph6(k400)
+    start = time.perf_counter()
+    assert parse_graph6(line) == k400
+    assert time.perf_counter() - start < 1.0
+    assert emit_graph6(parse_graph6(line)) == line
+    for seed in range(3):
+        h = nx.Graph()
+        h.add_nodes_from(range(80))
+        h.add_edges_from(random_gnp(80, 0.9, seed).edges())
+        ref = nx.to_graph6_bytes(h, header=False).decode().strip()
+        assert ref[0] == "~"  # extended vertex-count form
+        parsed = parse_graph6(ref)
+        assert parsed.n == 80
+        assert {frozenset(e) for e in parsed.edges()} == {frozenset(e) for e in h.edges()}
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from pathecc.eccentricity import pe_exact
 from pathecc.families import cycle, fig_example_a, fig_example_c, ladder_k4, path_graph
 from pathecc.graphs import (
     Graph,
+    _mask_of,
+    _sweep,
     bfs_distances,
     find_long_induced_cycle,
     format_edge_list,
@@ -93,6 +95,39 @@ def test_bfs_symmetric_for_singletons(g):
         du = bfs_distances(g, {u})
         for v in range(g.n):
             assert du[v] == bfs_distances(g, {v})[u]
+
+
+@given(graph_strategy(max_n=9), st.data())
+@settings(max_examples=150)
+def test_sweep_matches_reference_distances(g, data):
+    nx = pytest.importorskip("networkx")
+    full = (1 << g.n) - 1
+    vertex = st.integers(0, g.n - 1)
+    sources = data.draw(st.sets(vertex, min_size=1))
+    seed = _mask_of(sources)
+    dist = bfs_distances(g, sources)
+    at = [[v for v in range(g.n) if dist[v] == d] for d in range(g.n)]
+    top = max(d for d in dist if d is not None)
+    for k in range(g.n + 1):
+        reached, layer, depth = _sweep(g.adj_masks, seed, full, k)
+        assert reached == _mask_of(v for v in range(g.n) if dist[v] is not None and dist[v] <= k)
+        assert depth == min(k, top) and layer == _mask_of(at[depth])
+    # unbounded: the depth is the largest distance, the last layer its argmax set
+    reached, layer, depth = _sweep(g.adj_masks, seed, full, -1)
+    assert depth == top and layer == _mask_of(at[top])
+    # until: the first layer meeting the targets sits at their least distance
+    targets = data.draw(st.sets(vertex, min_size=1))
+    near = [dist[t] for t in targets if dist[t] is not None]
+    _, layer, depth = _sweep(g.adj_masks, seed, full, -1, _mask_of(targets))
+    assert depth == (min(near) if near else top) and layer == _mask_of(at[depth])
+    # allowed: reach is the component of G[allowed]
+    start = data.draw(vertex)
+    allowed = data.draw(st.sets(vertex)) | {start}
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    comp = nx.node_connected_component(h.subgraph(allowed), start)
+    assert _sweep(g.adj_masks, 1 << start, _mask_of(allowed), -1)[0] == _mask_of(comp)
 
 
 def test_is_connected():
