@@ -1,9 +1,15 @@
 """Eccentricity of a path and the exact minimum over all paths of a graph.
 
 The exact search is the ground-truth oracle for every structural check in
-this package, so it is exhaustive by construction: depth-first enumeration
-of simple paths, each path scored by multi-source BFS, with a pruning
-bound that can never cut off an optimal path.
+this package, so it is exhaustive by construction.  It walks simple paths
+depth-first in lexicographic order and scores each by multi-source BFS, but
+it enters each search state, a (vertex set, last vertex) pair, at most once.
+A path's eccentricity depends only on its vertex set, so two prefixes with
+the same set and the same last vertex have the same continuations with the
+same scores (Held & Karp, "A dynamic programming approach to sequencing
+problems", 1962).  The work is thus bounded by n * 2^n states rather than
+by the number of simple paths, and a pruning bound that can never cut off
+an optimal path skips most of those states.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Optional, Sequence
 
 from .graphs import Graph, _mask_of, _sweep, is_connected, is_path
 
-DEFAULT_MAX_N = 12
+DEFAULT_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -51,23 +57,40 @@ def _first_best_path(
     once (reversals are skipped by requiring first <= last vertex).  A path
     whose eccentricity beats the incumbent bound ``limit`` becomes the
     incumbent, and the search ends once the bound is at most ``stop``.  A
-    branch is abandoned only when even covering everything still reachable
-    from its tail cannot beat the bound, so the result matches a plain
-    exhaustive scan.  Returns the final bound and its path, or the initial
-    limit and None when no path beats it.
+    branch is abandoned when even covering everything still reachable from
+    its tail cannot beat the bound, or when its state (vertex set, last
+    vertex) was entered before.  The repeat can add nothing a plain
+    exhaustive scan would report, so the witness is still the first one in
+    lexicographic order:
+
+    - depth-first order means the earlier entry had a lexicographically
+      smaller prefix, so it met every completion the repeat would meet;
+    - that prefix's first vertex is no larger, so the ``first <= last``
+      rule let it score every path the repeat would score;
+    - ``limit`` only decreases, so every prune and incumbent from the
+      earlier entry still holds.
+
+    Returns the final bound and its path, or the initial limit and None
+    when no path beats it.
     """
     best: Optional[tuple[int, ...]] = None
     path: list[int] = []
     masks = g.adj_masks
-    full = (1 << g.n) - 1
+    n = g.n
+    full = (1 << n) - 1
+    entered = bytearray(n << n)  # one flag per (pmask, v) state
 
     # limit > stop >= 0 while the search runs, so limit - 1 is a real layer
     # bound, never the -1 of an unbounded sweep: limit - 1 layers reach
     # every vertex exactly when the seed's eccentricity beats limit
     def extend(v: int, pmask: int) -> bool:
         nonlocal limit, best
-        path.append(v)
         pmask |= 1 << v
+        state = pmask * n + v
+        if entered[state]:
+            return False
+        entered[state] = 1
+        path.append(v)
         try:
             if path[0] <= v:
                 reached, _, ecc = _sweep(masks, pmask, full, limit - 1)
@@ -86,14 +109,17 @@ def _first_best_path(
         finally:
             path.pop()
 
-    for s in range(g.n):
-        if extend(s, 0):
-            break
+    try:
+        for s in range(n):
+            if extend(s, 0):
+                break
+    finally:
+        del extend  # break the closure's self-reference: the flags die here
     return limit, best
 
 
 def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
-    """Exact path eccentricity by exhaustive path enumeration.
+    """Exact path eccentricity by the exhaustive, state-memoized path search.
 
     The witness is the first path, in lexicographic enumeration order, that
     attains the minimum.

@@ -314,9 +314,12 @@ def hunt_conjecture(
 ) -> HuntResult:
     """Look for a connected graph with an ordering witness yet pe >= 2.
 
-    Records the first hit, re-verified on both sides before being reported;
-    finding none leaves the conjectured bound standing on the graphs that
-    were checked.  Oversized and disconnected graphs are counted as skipped.
+    Each witnessed graph is decided by the early-exit search for a path of
+    eccentricity <= 1; only a hit pays for ``pe_exact``, which fills in the
+    value and path reported.  The first hit is re-verified on both sides
+    before being reported; finding none leaves the conjectured bound
+    standing on the graphs that were checked.  Oversized and disconnected
+    graphs are counted as skipped.
     """
     searched = 0
     skipped = 0
@@ -331,9 +334,9 @@ def hunt_conjecture(
         if witness is None:
             continue
         with_witness += 1
-        result = pe_exact(g)
-        if result.value >= 2:
-            assert verify_witness(g, witness)
+        if has_path_with_ecc_at_most(g, 1) is None:
+            result = pe_exact(g)
+            assert verify_witness(g, witness) and result.value >= 2
             return HuntResult(
                 searched,
                 with_witness,

@@ -232,16 +232,17 @@ def reference_canonical_key(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def seeded_connected_gnp(n: int, seed: int) -> Graph:
-    """First connected draw of G(n, 3/n) from a seeded generator."""
+def seeded_connected_gnp(n: int, seed: int, p: Optional[float] = None) -> Graph:
+    """First connected draw of G(n, p) from a seeded generator; p is 3/n by default."""
     import random
 
     from pathecc.graphs import is_connected
 
+    p = 3 / n if p is None else p
     rng = random.Random(seed)
     while True:
         g = Graph.from_edges(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         )
         if is_connected(g):
             return g

@@ -167,13 +167,13 @@ def test_usage_and_parse_errors(capsys):
     assert code == 2 and "pathecc:" in err
     code, _, err = run(capsys, "suite", "missing-corpus", "--props", "theorem4")
     assert code == 2
-    code, _, err = run(capsys, "pe", emit_graph6(subdivided_claw(5)))  # n=16 > 12
+    code, _, err = run(capsys, "pe", emit_graph6(subdivided_claw(6)))  # n=19 > 16
     assert code == 2 and "limited" in err
 
 
 @pytest.mark.parametrize(
     "command, cap",
-    [("pe", 12), ("star-c1p", 20), ("ecc", None), ("min-kat", None), ("central-path", None)],
+    [("pe", 16), ("star-c1p", 20), ("ecc", None), ("min-kat", None), ("central-path", None)],
 )
 def test_huge_edge_list_header_exits_2_before_building(tmp_path, capsys, command, cap):
     f = tmp_path / "g.txt"
@@ -234,7 +234,7 @@ def test_unexpected_error_exits_2_in_one_line(capsys, monkeypatch):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["oversized", "empty-file"])
 def test_hunt_with_nothing_checked_exits_2(tmp_path, capsys, empty):
-    corpus = "gen:clique:13"
+    corpus = "gen:clique:17"
     if empty:
         (tmp_path / "empty.g6").write_text("")
         corpus = str(tmp_path / "empty.g6")
@@ -247,7 +247,7 @@ def test_hunt_with_nothing_checked_exits_2(tmp_path, capsys, empty):
 
 def test_hunt_notes_skipped_graphs_on_stderr(tmp_path, capsys):
     f = tmp_path / "corpus.g6"
-    f.write_text(emit_graph6(fig_example_c()) + "\n" + emit_graph6(clique(13)) + "\n")
+    f.write_text(emit_graph6(fig_example_c()) + "\n" + emit_graph6(clique(17)) + "\n")
     code, doc, err = run_json(capsys, "hunt", str(f))
     assert code == 0 and doc["searched"] == 2 and doc["with_witness"] == 1
     assert "skipped 1 of 2" in err and len(err.strip().splitlines()) == 1

@@ -1,10 +1,20 @@
+import gc
+import hashlib
 import random
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_simple_paths, brute_pe, graph_strategy, path_ecc_oracle
+from conftest import (
+    all_simple_paths,
+    brute_pe,
+    graph_strategy,
+    path_ecc_oracle,
+    seeded_connected_gnp,
+)
 from pathecc.asteroidal import min_k_at_free
 from pathecc.eccentricity import (
     PeResult,
@@ -15,6 +25,8 @@ from pathecc.eccentricity import (
 from pathecc.families import (
     clique,
     cycle,
+    emit_graph6,
+    enumerate_connected,
     fig_biconvex,
     path_graph,
     subdivided_claw,
@@ -65,8 +77,8 @@ def test_pe_guards():
     with pytest.raises(ValueError):
         pe_exact(Graph.from_edges(2, []))
     with pytest.raises(ValueError):
-        pe_exact(path_graph(13))
-    assert pe_exact(path_graph(13), max_n=13).value == 0
+        pe_exact(path_graph(17))
+    assert pe_exact(path_graph(17), max_n=17).value == 0
 
 
 def test_pe_witness_is_first_found(connected_upto_5):
@@ -154,3 +166,78 @@ def test_has_path_examples():
     assert has_path_with_ecc_at_most(g, 6) is not None
     with pytest.raises(ValueError):
         has_path_with_ecc_at_most(cycle(4), -1)
+
+
+# sha256 over the connected graphs with n <= 7 of every pe_exact answer with
+# its witness, then has_path_with_ecc_at_most(g, k) for k = 0..pe + 1; it was
+# computed with the unmemoized search, so the state memo changes no answer
+PE_ANSWERS_SHA256 = "d3dcaa43de1f248e771b1f059db57468ba7c34ead118726c0139ca1a679c9adb"
+
+
+def test_pe_answers_are_pinned():
+    lines = []
+    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+        res = pe_exact(g)
+        hits = [has_path_with_ecc_at_most(g, k) for k in range(res.value + 2)]
+        lines.append(repr((emit_graph6(g), res.value, res.witness, hits)))
+    assert len(lines) == 996
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PE_ANSWERS_SHA256
+
+
+@given(graph_strategy(max_n=7, connected=True))
+@settings(max_examples=60, deadline=None)
+def test_pe_matches_brute_value_and_first_witness(g):
+    assert pe_exact(g) == PeResult(*brute_pe(g))
+
+
+def dense_bipartite(a: int, b: int, keep: int, seed: int) -> Graph:
+    """First connected bipartite graph on parts a and b keeping keep of a * b edges."""
+    rng = random.Random(seed)
+    pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    while True:
+        g = Graph.from_edges(a + b, rng.sample(pairs, keep))
+        if is_connected(g):
+            return g
+
+
+# n = 14..16: bipartite graphs keeping ~85% of the edges between parts too
+# unequal for a Hamiltonian path, where pruning fails, then G(16, 3/16) and
+# G(16, 0.3)
+PAST_THE_OLD_CAP = {
+    "bipartite-5+9": lambda: dense_bipartite(5, 9, 38, 14),
+    "bipartite-5+10": lambda: dense_bipartite(5, 10, 42, 15),
+    "bipartite-5+11": lambda: dense_bipartite(5, 11, 47, 16),
+    "gnp-16-sparse": lambda: seeded_connected_gnp(16, seed=0),
+    "gnp-16-0.3": lambda: seeded_connected_gnp(16, seed=16, p=0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_OLD_CAP))
+def test_pe_runs_past_the_old_cap(name):
+    g = PAST_THE_OLD_CAP[name]()
+    assert 12 < g.n <= 16
+    start = time.perf_counter()
+    res = pe_exact(g)
+    hit = has_path_with_ecc_at_most(g, res.value)
+    miss = has_path_with_ecc_at_most(g, res.value - 1) if res.value else None
+    assert time.perf_counter() - start < 10.0
+    assert path_eccentricity(g, res.witness) == res.value
+    assert hit is not None and path_eccentricity(g, hit) <= res.value
+    assert miss is None
+
+
+def test_no_graph_outlives_the_search():
+    """Reference counting alone frees the graph and the search state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = dense_bipartite(4, 8, 27, 0)
+        ref = weakref.ref(g)
+        pe = pe_exact(g).value
+        assert has_path_with_ecc_at_most(g, pe) is not None
+        assert has_path_with_ecc_at_most(g, pe - 1) is None
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -2,9 +2,16 @@ import os
 
 import pytest
 
-from pathecc.families import cycle, enumerate_connected, fig_example_c, subdivided_claw
+import pathecc.suite
+from pathecc.families import (
+    clique,
+    cycle,
+    emit_graph6,
+    enumerate_connected,
+    fig_example_c,
+    subdivided_claw,
+)
 from pathecc.graphs import Graph
-from pathecc.families import clique
 from pathecc.suite import (
     PROPERTIES,
     _worker_count,
@@ -75,7 +82,7 @@ def test_report_is_deterministic():
 
 
 def test_oversized_graphs_are_skipped_not_fatal():
-    big = Graph.from_edges(13, [(i, i + 1) for i in range(12)])
+    big = Graph.from_edges(17, [(i, i + 1) for i in range(16)])
     report = run_property_suite([big, cycle(4)], ["theorem3"])
     (res,) = report.results
     assert res.checked == 1 and res.skipped == 1
@@ -135,9 +142,28 @@ def test_hunt_would_report_and_verify():
 
 def test_hunt_counts_skipped_graphs():
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    result = hunt_conjecture([fig_example_c(), clique(13), disconnected])
+    result = hunt_conjecture([fig_example_c(), clique(17), disconnected])
     assert result.searched == 3 and result.skipped == 2 and result.checked == 1
     assert result.with_witness == 1 and result.counterexample is None
+
+
+def test_hunt_runs_pe_exact_only_on_a_hit(monkeypatch):
+    """The pe <= 1 decision screens each witnessed graph; pe_exact only fills
+    in a hit.  A stand-in witness on the 2-subdivided claw (pe 2) makes one."""
+    calls = []
+    real = pathecc.suite.pe_exact
+    monkeypatch.setattr(pathecc.suite, "pe_exact", lambda g: calls.append(g) or real(g))
+    corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    assert hunt_conjecture(corpus).counterexample is None and calls == []
+
+    claw = subdivided_claw(2)
+    monkeypatch.setattr(pathecc.suite, "find_star_c1p", lambda g: "stand-in")
+    monkeypatch.setattr(pathecc.suite, "verify_witness", lambda g, w: w == "stand-in")
+    result = hunt_conjecture([cycle(5), claw])
+    assert calls == [claw] and result.with_witness == 2
+    ce = result.counterexample
+    assert (ce.graph6, ce.witness, ce.pe_value) == (emit_graph6(claw), "stand-in", 2)
+    assert ce.pe_witness == real(claw).witness
 
 
 def test_worker_count_from_environment(monkeypatch):
