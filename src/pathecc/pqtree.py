@@ -7,11 +7,16 @@ Booth-Lueker templates (L1, P1-P6, Q1-Q3) in one recursive pass that
 serves the pertinent root and the partial nodes below it alike, instead
 of the amortized bubble-up bookkeeping; at the matrix sizes this library
 handles, clarity wins over the linear-time constant.
+
+Each node stores its leaf set as an ``int`` mask, bit r standing for row r,
+so a reduction tests a child for empty, full or partial with two bit
+operations and a parent's leaf set is the OR of its children's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -75,26 +80,26 @@ def format_matrix(m: BinaryMatrix) -> str:
 @dataclass(frozen=True)
 class Leaf:
     row: int
-    leaves: frozenset[int]  # {row}, stored so reductions read it for free
+    leaves: int  # 1 << row, stored so reductions read it for free
 
 
 @dataclass(frozen=True)
 class PNode:
     children: tuple["Node", ...]
-    leaves: frozenset[int]
+    leaves: int
 
 
 @dataclass(frozen=True)
 class QNode:
     children: tuple["Node", ...]
-    leaves: frozenset[int]
+    leaves: int
 
 
 Node = Union[Leaf, PNode, QNode]
 
 
-def _union_leaves(children: Sequence[Node]) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
+def _union_leaves(children: Sequence[Node]) -> int:
+    out = 0
     for c in children:
         out |= c.leaves
     return out
@@ -125,7 +130,7 @@ class PQTree:
     def universal(cls, rows: int) -> "PQTree":
         if rows < 1:
             raise ValueError("a PQ-tree needs at least one leaf")
-        return cls(_p([Leaf(i, frozenset((i,))) for i in range(rows)]))
+        return cls(_p([Leaf(i, 1 << i) for i in range(rows)]))
 
 
 def frontier(t: PQTree) -> tuple[int, ...]:
@@ -160,13 +165,13 @@ def frontier(t: PQTree) -> tuple[int, ...]:
 # is the replacement node.  None means s cannot be made consecutive.
 
 
-def _arrange(node: Node, s: frozenset[int], root: bool) -> Optional[Union[tuple, Node]]:
+def _arrange(node: Node, s: int, root: bool) -> Optional[Union[tuple, Node]]:
     subs: list[tuple[str, object]] = []
     for c in node.children:  # type: ignore[union-attr]
         lv = c.leaves
-        if lv.isdisjoint(s):
+        if not lv & s:
             subs.append(("e", c))
-        elif lv <= s:
+        elif lv & s == lv:
             subs.append(("f", c))
         else:
             seq = _arrange(c, s, False)
@@ -213,13 +218,13 @@ def _arrange(node: Node, s: frozenset[int], root: bool) -> Optional[Union[tuple,
     return None
 
 
-def _reduce_node(node: Node, s: frozenset[int]) -> Optional[Node]:
-    # s <= node.leaves holds here, so a leaf always equals s
+def _reduce_node(node: Node, s: int) -> Optional[Node]:
+    # s is a subset of node.leaves here, so a leaf always equals s
     if node.leaves == s:
         return node
     # descend while one child wholly contains the constraint
     for i, c in enumerate(node.children):  # type: ignore[union-attr]
-        if s <= c.leaves:
+        if s & c.leaves == s:
             c2 = _reduce_node(c, s)
             if c2 is None:
                 return None
@@ -234,44 +239,60 @@ def pq_reduce(t: PQTree, s: Iterable[int]) -> Optional[PQTree]:
     Returns the reduced tree, or None when no frontier of t keeps s
     consecutive.  The input tree is never modified.
     """
-    ss = frozenset(s)
-    if not ss:
-        raise ValueError("cannot reduce by an empty row set")
-    unknown = ss - t.root.leaves
+    leaves = t.root.leaves
+    ss = 0
+    unknown = set()
+    for r in s:
+        if r < 0 or not leaves >> r & 1:
+            unknown.add(r)
+        else:
+            ss |= 1 << r
     if unknown:
         raise ValueError(f"unknown rows in constraint: {sorted(unknown)}")
+    if not ss:
+        raise ValueError("cannot reduce by an empty row set")
     root = _reduce_node(t.root, ss)
     return None if root is None else PQTree(root)
 
 
 # --- consecutive ones -----------------------------------------------------
 
-def is_c1p_order(m: BinaryMatrix, perm: Sequence[int]) -> bool:
-    """True iff placing row perm[i] at position i makes every column's 1s a block."""
+def _columns(m: BinaryMatrix) -> list[tuple[int, ...]]:
+    """Each column's 1-rows, read in one transpose of the matrix."""
+    rows = range(m.rows)
+    return [tuple(compress(rows, col)) for col in zip(*m.bits)]
+
+
+def _all_blocks(columns: Iterable[Iterable[int]], perm: Sequence[int]) -> bool:
     pos = {r: i for i, r in enumerate(perm)}
-    for j in range(m.cols):
-        where = [pos[r] for r in m.column_ones(j)]
+    for ones in columns:
+        where = [pos[r] for r in ones]
         if where and max(where) - min(where) + 1 != len(where):
             return False
     return True
+
+
+def is_c1p_order(m: BinaryMatrix, perm: Sequence[int]) -> bool:
+    """True iff placing row perm[i] at position i makes every column's 1s a block."""
+    return _all_blocks(_columns(m), perm)
 
 
 def has_c1p(m: BinaryMatrix) -> Optional[tuple[int, ...]]:
     """A row permutation witnessing the consecutive ones property, or None.
 
     Builds the universal tree and reduces by each column's 1-set, widest
-    columns first so infeasible instances fail fast.  Empty and full
-    columns are vacuously consecutive and skipped.
+    columns first so infeasible instances fail fast.  Columns with 0, 1 or
+    all rows are consecutive in every order and skipped.
     """
     tree = PQTree.universal(m.rows)
-    columns = sorted(map(m.column_ones, range(m.cols)), key=len, reverse=True)
-    for ones in columns:
-        if len(ones) in (0, m.rows):
+    columns = _columns(m)
+    for ones in sorted(columns, key=len, reverse=True):
+        if len(ones) in (0, 1, m.rows):
             continue
         reduced = pq_reduce(tree, ones)
         if reduced is None:
             return None
         tree = reduced
     perm = frontier(tree)
-    assert is_c1p_order(m, perm), "PQ-tree produced a non-witnessing order"
+    assert _all_blocks(columns, perm), "PQ-tree produced a non-witnessing order"
     return perm

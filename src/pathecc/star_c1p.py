@@ -108,12 +108,15 @@ def find_star_c1p(g: Graph, max_n: int = DEFAULT_MAX_N) -> Optional[OrderingWitn
         return OrderingWitness((0,), frozenset())
     bits: list[bool] = []
 
+    # With |N(v)| <= 1 the open column is vacuous, so the closed one can only
+    # constrain the tree further: once False fails, True fails too.
     def assign(v: int, tree: PQTree) -> Optional[PQTree]:
         if v == n:
             return tree
-        for bit in (False, True):
-            column = set(g.adj[v]) | ({v} if bit else set())
-            if len(column) in (0, n):
+        nb = g.adj[v]
+        for bit in (False, True) if len(nb) > 1 else (False,):
+            column = nb | {v} if bit else nb
+            if len(column) in (0, 1, n):
                 next_tree: Optional[PQTree] = tree  # vacuously consecutive
             else:
                 next_tree = pq_reduce(tree, column)
@@ -126,7 +129,10 @@ def find_star_c1p(g: Graph, max_n: int = DEFAULT_MAX_N) -> Optional[OrderingWitn
             bits.pop()
         return None
 
-    final = assign(0, PQTree.universal(n))
+    try:
+        final = assign(0, PQTree.universal(n))
+    finally:
+        del assign  # break the closure's self-reference: g and the trees die here
     if final is None:
         return None
     order = _lex_min_frontier(final.root)

@@ -98,10 +98,14 @@ def test_reduce_chain_then_contradiction():
 
 def test_reduce_errors():
     t = PQTree.universal(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty row set"):
         pq_reduce(t, set())
-    with pytest.raises(ValueError):
-        pq_reduce(t, {0, 7})
+    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[3, 7\]"):
+        pq_reduce(t, {0, 7, 3})
+    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[-2, -1\]"):
+        pq_reduce(t, [-1, 0, -2, -1])
+    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[-1\]"):
+        pq_reduce(t, {-1})
 
 
 @given(
@@ -223,3 +227,43 @@ def test_reduction_tree_shapes_are_pinned():
     assert len(results) > 2000
     lines = "\n".join(repr(r) for r in results)
     assert hashlib.sha256(lines.encode()).hexdigest() == REDUCTIONS_SHA256
+
+
+def _interval_matrix(rng: random.Random, size: int, max_len: int) -> list[list[int]]:
+    """Columns are intervals of 1..max_len rows of a hidden row order."""
+    order = list(range(size))
+    rng.shuffle(order)
+    rows = [[0] * size for _ in range(size)]
+    for j in range(size):
+        length = rng.randint(1, max_len)
+        start = rng.randrange(size - length + 1)
+        for pos in range(start, start + length):
+            rows[order[pos]][j] = 1
+    return rows
+
+
+def _break_c1p(rng: random.Random, rows: list[list[int]]) -> list[list[int]]:
+    """Overwrite three columns with the pairs of a row triangle: no C1P order."""
+    out = [row.copy() for row in rows]
+    a, b, c = rng.sample(range(len(rows)), 3)
+    for j, pair in zip(rng.sample(range(len(rows)), 3), ((a, b), (b, c), (a, c))):
+        for r in range(len(rows)):
+            out[r][j] = 1 if r in pair else 0
+    return out
+
+
+# sha256 of has_c1p on seeded 200 x 200 interval matrices and their broken
+# variants, one repr per line; computed with frozenset leaf sets
+LARGE_C1P_SHA256 = "b82ca8d2385027f89ff5c573a631f4a5d37f97835655665b3aaa965b2b24eeeb"
+
+
+def test_large_c1p_permutations_are_pinned():
+    rng = random.Random(20261019)
+    perms = []
+    for max_len in (3, 12, 60, 200):
+        rows = _interval_matrix(rng, 200, max_len)
+        for r in (rows, _break_c1p(rng, rows)):
+            perms.append(has_c1p(BinaryMatrix(200, 200, tuple(map(tuple, r)))))
+    assert [p is None for p in perms] == [False, True] * 4
+    lines = "\n".join(repr(p) for p in perms)
+    assert hashlib.sha256(lines.encode()).hexdigest() == LARGE_C1P_SHA256

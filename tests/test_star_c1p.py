@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +11,8 @@ from pathecc.families import (
     FIG_C_DIAGONAL,
     cycle,
     clique,
+    emit_graph6,
+    enumerate_connected,
     fig_example_b,
     fig_example_c,
     ladder_k4,
@@ -77,6 +83,38 @@ def test_find_star_c1p_size_guard():
     with pytest.raises(ValueError):
         find_star_c1p(path_graph(21))
     assert find_star_c1p(path_graph(21), max_n=21) is not None
+
+
+def test_no_graph_outlives_the_search():
+    """Reference counting alone frees the graph and its PQ-trees, hit or miss."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build, found in ((fig_example_c, True), (lambda: cycle(5), False)):
+            g = build()
+            ref = weakref.ref(g)
+            assert (find_star_c1p(g) is not None) == found
+            del g
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# sha256 over the connected graphs with n <= 7 of every find_star_c1p answer
+# (mu and the sorted diagonal, or None); computed with frozenset leaf sets and
+# before vacuous columns were skipped, so neither changes a witness
+STAR_ANSWERS_SHA256 = "cfafa1d09d6d2e38391edd437859026145cf3ccf26a940dd07e4b56b49915227"
+
+
+def test_star_c1p_answers_are_pinned():
+    lines = []
+    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+        w = find_star_c1p(g)
+        answer = None if w is None else (w.mu, sorted(w.diagonal))
+        lines.append(repr((emit_graph6(g), answer)))
+    assert len(lines) == 996
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STAR_ANSWERS_SHA256
 
 
 def test_find_star_c1p_deterministic():
