@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="JSON trace lines on stderr")
 
     p = sub.add_parser("gen", help="generate a named family member")
-    p.add_argument("family", choices=[f for f in FAMILY_NAMES if f != "exhaustive"])
+    p.add_argument("family", choices=FAMILY_NAMES)
     p.add_argument("params", nargs="*", type=float)
     p.add_argument("--format", choices=("json", "graph6", "edgelist"), default="json")
 
@@ -217,7 +217,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "pe":
-            g = _load_graph(args.graph, ("pe_exact", eccentricity.DEFAULT_MAX_N))
+            g = _load_graph(args.graph, ("pe_exact", eccentricity.MAX_N))
             result = pe_exact(g)
             _emit({"schema": SCHEMA, "command": "pe", "n": g.n,
                    "pe": result.value, "witness": list(result.witness)})
@@ -257,7 +257,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "star-c1p":
             # only the search is capped; --check verifies a witness at any n
-            cap = None if args.check is not None else ("find_star_c1p", star_c1p.DEFAULT_MAX_N)
+            cap = None if args.check is not None else ("find_star_c1p", star_c1p.MAX_N)
             g = _load_graph(args.graph, cap)
             if args.check is not None:
                 raw = args.check

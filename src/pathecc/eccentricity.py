@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .graphs import Graph, _mask_of, _sweep, is_connected, is_path
 
-DEFAULT_MAX_N = 16
+MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ def path_eccentricity(g: Graph, p: Sequence[int]) -> int:
     return ecc
 
 
-def _check_search_input(g: Graph, max_n: int, what: str) -> None:
-    if g.n > max_n:
-        raise ValueError(f"{what} is limited to n <= {max_n}, got n={g.n}")
+def _check_search_input(g: Graph, what: str) -> None:
+    if g.n > MAX_N:
+        raise ValueError(f"{what} is limited to n <= {MAX_N}, got n={g.n}")
     if not is_connected(g):
         raise ValueError(f"{what} requires a connected graph")
 
@@ -118,22 +118,20 @@ def _first_best_path(
     return limit, best
 
 
-def pe_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> PeResult:
+def pe_exact(g: Graph) -> PeResult:
     """Exact path eccentricity by the exhaustive, state-memoized path search.
 
     The witness is the first path, in lexicographic enumeration order, that
     attains the minimum.
     """
-    _check_search_input(g, max_n, "pe_exact")
+    _check_search_input(g, "pe_exact")
     # n + 1 admits every path (eccentricities are below n); 0 cannot be beaten
     value, witness = _first_best_path(g, g.n + 1, 0)
     assert witness is not None
     return PeResult(value, witness)
 
 
-def has_path_with_ecc_at_most(
-    g: Graph, k: int, max_n: int = DEFAULT_MAX_N
-) -> Optional[tuple[int, ...]]:
+def has_path_with_ecc_at_most(g: Graph, k: int) -> Optional[tuple[int, ...]]:
     """First path (in enumeration order) with eccentricity <= k, or None.
 
     Decision form of :func:`pe_exact` with early exit; the two agree on
@@ -141,5 +139,5 @@ def has_path_with_ecc_at_most(
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    _check_search_input(g, max_n, "has_path_with_ecc_at_most")
+    _check_search_input(g, "has_path_with_ecc_at_most")
     return _first_best_path(g, k + 1, k)[1]

@@ -10,20 +10,6 @@ from typing import Iterator, Optional, Sequence
 from .graphs import Graph, is_connected
 from .pqtree import BinaryMatrix
 
-FAMILY_NAMES = (
-    "subdivided_claw",
-    "cycle",
-    "path",
-    "clique",
-    "ladder_k4",
-    "fig_example_a",
-    "fig_example_b",
-    "fig_example_c",
-    "fig_biconvex",
-    "random_gnp",
-    "exhaustive",
-)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -187,6 +173,7 @@ _FAMILY_BUILDERS = {
     "fig_example_c": (fig_example_c, ()),
     "fig_biconvex": (fig_biconvex, ()),
 }
+FAMILY_NAMES = (*_FAMILY_BUILDERS, "random_gnp")
 
 
 def _integral(family: str, what: str, x: float) -> int:
@@ -196,7 +183,7 @@ def _integral(family: str, what: str, x: float) -> int:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a family spec describes; exhaustive specs are streams.
+    """Build the graph a family spec describes.
 
     The parameter count must match the family, and count parameters must
     be integral (5.0 is accepted, 5.7 is not); anything else raises
@@ -211,8 +198,6 @@ def generate(spec: FamilySpec) -> Graph:
         n = _integral(name, "n", params[0])
         seed = _integral(name, "seed", params[2]) if len(params) == 3 else 0
         return random_gnp(n, float(params[1]), seed)
-    if name == "exhaustive":
-        raise ValueError("exhaustive specs describe a stream; use enumerate_connected")
     if name not in _FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}")
     build, names = _FAMILY_BUILDERS[name]

@@ -80,6 +80,9 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
 # grinds through thousands of small graphs.  _sweep is the one reach and
 # distance core: N^k[S], components, eccentricities, farthest and nearest
 # vertices are read off it.  bfs_distances is the public reference map.
+# _shortest_path keeps its own FIFO BFS: its first-discovery parents over
+# sorted neighbours fix which shortest path comes back, and the k-AT and
+# dichotomy answers pinned by sha256 in the tests are built from them.
 
 def _sweep(
     masks: Sequence[int], seed: int, allowed: int, limit: int, until: int = 0
@@ -220,73 +223,62 @@ def is_induced_path(g: Graph, p: Sequence[int]) -> bool:
     return True
 
 
+def _chordless(
+    g: Graph, s: int, allowed: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every induced path from s inside the allowed mask, with its closers.
+
+    Yields ``(path, close)``: ``close`` masks the vertices c that make
+    ``path + (c,)`` a chordless cycle through s.  The DFS state is the path
+    plus ``blocked = N[path[1:-1]] | path``; past ``(s,)`` a free neighbour
+    of the tail extends the path if it misses N(s) and closes it otherwise.
+    """
+    masks = g.adj_masks
+    ring = masks[s]
+    yield (s,), 0
+    # (path, its extensions, the blocked mask they share): an extension x
+    # gives path + (x,) the blocked mask shared | x
+    stack = [((s,), ring & allowed, 1 << s)]
+    while stack:
+        path, ext, shared = stack.pop()
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            x = low.bit_length() - 1
+            step = path + (x,)
+            free = masks[x] & allowed & ~shared
+            yield step, free & ring
+            if free & ~ring:
+                stack.append((step, free & ~ring, shared | low | masks[x]))
+
+
 def induced_paths(g: Graph) -> Iterator[tuple[int, ...]]:
     """All induced paths of g, one orientation each (first vertex <= last)."""
+    full = (1 << g.n) - 1
     for s in range(g.n):
-        yield (s,)
-        stack: list[tuple[int, ...]] = [(s,)]
-        while stack:
-            path = stack.pop()
-            tail = path[-1]
-            for x in sorted(g.adj[tail], reverse=True):
-                if x in path:
-                    continue
-                # induced: x may touch the path only at the tail
-                if any(g.has_edge(x, y) for y in path[:-1]):
-                    continue
-                ext = path + (x,)
-                if ext[0] <= ext[-1]:
-                    yield ext
-                stack.append(ext)
-
-
-def _is_induced_cycle(g: Graph, cyc: Sequence[int]) -> bool:
-    m = len(cyc)
-    if m < 3 or len(set(cyc)) != m:
-        return False
-    for i in range(m):
-        for j in range(i + 1, m):
-            adjacent = g.has_edge(cyc[i], cyc[j])
-            consecutive = j - i == 1 or (i == 0 and j == m - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+        for p, _ in _chordless(g, s, full):
+            if s <= p[-1]:
+                yield p
 
 
 def find_long_induced_cycle(g: Graph, min_len: int) -> Optional[tuple[int, ...]]:
     """Some chordless cycle with at least min_len vertices, or None.
 
-    DFS over chordless paths; exponential in the worst case, which is fine
-    for the small-graph corpora this library targets.
+    The cycle starts at its least vertex and runs toward the smaller of
+    that vertex's two cycle neighbours: ``found[0] == min(found)`` and
+    ``found[1] < found[-1]``.  Exponential in the worst case, which is
+    fine for the small-graph corpora this library targets.
     """
     if min_len < 3:
         raise ValueError(f"min_len must be at least 3, got {min_len}")
-
-    def search(s: int) -> Optional[tuple[int, ...]]:
-        # every vertex after s is > s, so s is the cycle minimum
-        stack: list[tuple[int, ...]] = [(s,)]
-        while stack:
-            path = stack.pop()
-            tail = path[-1]
-            for x in sorted(g.adj[tail], reverse=True):
-                if x <= s or x in path:
-                    continue
-                if any(g.has_edge(x, y) for y in path[1:-1]):
-                    continue
-                if g.has_edge(x, s) and len(path) > 1:
-                    # closing edge; extending past x would chord through s
-                    cyc = path + (x,)
-                    if len(cyc) >= min_len and cyc[1] < cyc[-1]:
-                        assert _is_induced_cycle(g, cyc)
-                        return cyc
-                    continue
-                stack.append(path + (x,))
-        return None
-
+    full = (1 << g.n) - 1
     for s in range(g.n):
-        found = search(s)
-        if found is not None:
-            return found
+        # only vertices above s, so s is the cycle minimum
+        for p, close in _chordless(g, s, full >> s << s):
+            if close and len(p) + 1 >= min_len:
+                close &= -2 << p[1]  # closers above p[1]: one direction per cycle
+                if close:
+                    return p + ((close & -close).bit_length() - 1,)
     return None
 
 

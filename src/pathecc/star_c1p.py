@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .graphs import Graph, is_induced_path, neighborhood_k
 from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, pq_reduce
 
-DEFAULT_MAX_N = 20
+MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _lex_min_frontier(node: Node) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
-def find_star_c1p(g: Graph, max_n: int = DEFAULT_MAX_N) -> Optional[OrderingWitness]:
+def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     """Search all diagonal assignments for a consecutivity witness.
 
     Diagonal bits are decided in vertex order; each decision reduces the
@@ -99,8 +99,8 @@ def find_star_c1p(g: Graph, max_n: int = DEFAULT_MAX_N) -> Optional[OrderingWitn
     orders the final tree admits, the lexicographically smallest frontier
     is reported, reversed if that places vertex 0 in the upper half.
     """
-    if g.n > max_n:
-        raise ValueError(f"find_star_c1p is limited to n <= {max_n}, got n={g.n}")
+    if g.n > MAX_N:
+        raise ValueError(f"find_star_c1p is limited to n <= {MAX_N}, got n={g.n}")
     if g.n == 0:
         raise ValueError("find_star_c1p needs at least one vertex")
     n = g.n

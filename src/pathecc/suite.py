@@ -105,7 +105,7 @@ _SKIP = object()
 
 
 def _prop_theorem1(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
+    if not case.connected or case.g.n > eccentricity.MAX_N:
         return _SKIP
     if case.min_k == 1 and case.pe > 1:
         return f"1-AT-free but pe={case.pe}"
@@ -113,7 +113,7 @@ def _prop_theorem1(case: _GraphCase):
 
 
 def _prop_theorem3(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
+    if not case.connected or case.g.n > eccentricity.MAX_N:
         return _SKIP
     if case.pe > case.min_k:
         return f"pe={case.pe} exceeds min k-AT-free level {case.min_k}"
@@ -121,7 +121,7 @@ def _prop_theorem3(case: _GraphCase):
 
 
 def _prop_theorem4(case: _GraphCase):
-    if case.g.n > star_c1p.DEFAULT_MAX_N:
+    if case.g.n > star_c1p.MAX_N:
         return _SKIP
     if case.star is None:
         return None
@@ -132,7 +132,7 @@ def _prop_theorem4(case: _GraphCase):
 
 
 def _prop_corollary(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
+    if not case.connected or case.g.n > eccentricity.MAX_N:
         return _SKIP
     if case.star is not None and case.pe > 2:
         return f"ordering witness exists but pe={case.pe}"
@@ -140,7 +140,7 @@ def _prop_corollary(case: _GraphCase):
 
 
 def _prop_c5_free(case: _GraphCase):
-    if case.g.n > star_c1p.DEFAULT_MAX_N:
+    if case.g.n > star_c1p.MAX_N:
         return _SKIP
     if case.star is None:
         return None
@@ -151,7 +151,7 @@ def _prop_c5_free(case: _GraphCase):
 
 
 def _prop_order_lemma(case: _GraphCase):
-    if case.g.n > star_c1p.DEFAULT_MAX_N:
+    if case.g.n > star_c1p.MAX_N:
         return _SKIP
     w = case.star
     if w is None:
@@ -186,7 +186,7 @@ def path_neighborhood_holds(
 
 
 def _prop_path_neighborhood(case: _GraphCase):
-    if case.g.n > star_c1p.DEFAULT_MAX_N:
+    if case.g.n > star_c1p.MAX_N:
         return _SKIP
     w = case.star
     if w is None:
@@ -205,7 +205,7 @@ def _prop_path_neighborhood(case: _GraphCase):
 
 
 def _prop_star_c1p_exists(case: _GraphCase):
-    if case.g.n > star_c1p.DEFAULT_MAX_N:
+    if case.g.n > star_c1p.MAX_N:
         return _SKIP
     if case.star is None:
         return "no ordering witness"
@@ -213,7 +213,7 @@ def _prop_star_c1p_exists(case: _GraphCase):
 
 
 def _prop_dichotomy(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.DEFAULT_MAX_N:
+    if not case.connected or case.g.n > eccentricity.MAX_N:
         return _SKIP
     g = case.g
     for k in (1, 2, 3):
@@ -326,7 +326,7 @@ def hunt_conjecture(
     with_witness = 0
     for g in corpus:
         searched += 1
-        too_big = g.n > min(eccentricity.DEFAULT_MAX_N, star_c1p.DEFAULT_MAX_N)
+        too_big = g.n > min(eccentricity.MAX_N, star_c1p.MAX_N)
         if too_big or not is_connected(g):
             skipped += 1
             continue

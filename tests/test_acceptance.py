@@ -115,7 +115,7 @@ def test_criterion_3_theorem4_exhaustive(corpus_structural, star_map):
 def test_criterion_4_corollary_exhaustive(corpus_structural, star_map):
     violations = []
     for g, w in zip(corpus_structural, star_map):
-        if w is None or g.n > eccentricity.DEFAULT_MAX_N:
+        if w is None or g.n > eccentricity.MAX_N:
             continue
         pe = pe_exact(g).value
         if pe > 2:

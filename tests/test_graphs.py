@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_induced_cycles, graph_strategy
+from conftest import all_simple_paths, brute_induced_cycles, graph_strategy
 from pathecc.eccentricity import pe_exact
 from pathecc.families import cycle, fig_example_a, fig_example_c, ladder_k4, path_graph
 from pathecc.graphs import (
@@ -167,6 +167,22 @@ def test_induced_paths_enumeration():
             assert tuple(reversed(p)) not in got
 
 
+@given(graph_strategy(max_n=7))
+@settings(max_examples=120, deadline=None)
+def test_induced_paths_match_brute_force(g):
+    def chordless(p):
+        return not any(
+            g.has_edge(p[i], p[j])
+            for i in range(len(p))
+            for j in range(i + 2, len(p))
+        )
+
+    want = {p for p in all_simple_paths(g) if chordless(p)}
+    got = list(induced_paths(g))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
 def test_find_long_induced_cycle_direct():
     c5 = cycle(5)
     found = find_long_induced_cycle(c5, 5)
@@ -188,6 +204,10 @@ def test_find_long_induced_cycle_matches_brute_force(g, min_len):
     else:
         assert len(found) >= min_len
         assert set(found) in [set(c) for c in cycles]
+        # consecutive entries adjacent, closing edge included
+        for u, v in zip(found, found[1:] + found[:1]):
+            assert g.has_edge(u, v)
+        assert found[0] == min(found) and found[1] < found[-1]
 
 
 def test_edge_list_roundtrip():
