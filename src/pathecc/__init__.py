@@ -7,12 +7,10 @@ from .central_path import (
     Certificate,
     Dichotomy,
     ImprovedPath,
-    ImprovementState,
     Shortened,
     find_k_dominating_path_or_witness,
     greedy_seed_path,
     improve_once,
-    survey_improvement,
 )
 from .eccentricity import PeResult, has_path_with_ecc_at_most, path_eccentricity, pe_exact
 from .families import (

@@ -2,13 +2,13 @@
 
 The witness side is decided first: :func:`~pathecc.asteroidal.find_k_at`
 either returns a k-AT, which is the answer, or shows that g is k-AT-free.
-In the second case the improvement loop builds the path.  It grows a
-greedy seed path until the path covers the whole graph within distance k.
-Each round it picks the worst uncovered vertex w and either extends the
-path to absorb w or trims a redundant extremity; the paper's proof step
-(:func:`improve_once`) can otherwise only extract a k-AT, which a k-AT-free
-graph does not have.  A step that fails its own checks would refute the
-paper's proof step, so it raises :class:`RuntimeError` naming the graph.
+In the second case a private loop builds the path from a greedy seed by
+driving the paper's improvement step, :func:`improve_once`: while some
+vertex is farther than k from the path, the step takes the worst one, w,
+and either extends the path to absorb w, trims a redundant extremity, or
+extracts a k-AT, which a k-AT-free graph does not have.  A step that fails
+its own checks would refute the paper's proof step, so it raises
+:class:`RuntimeError` naming the graph.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     _grow_mask,
     _mask_of,
-    _mask_to_set,
     _shortest_path,
     _sweep,
     is_connected,
@@ -46,17 +45,6 @@ class Certificate:
 
 
 ImproveResult = Union[ImprovedPath, Shortened, Certificate]
-
-
-@dataclass(frozen=True)
-class ImprovementState:
-    """Intermediates of one improvement round, mainly for inspection."""
-
-    path: tuple[int, ...]
-    covered: frozenset[int]
-    w: int
-    a: int
-    path_wa: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -206,49 +194,18 @@ def _reroute_far(
     return _improving(g, k, p, w, walk)
 
 
-def _arrange_witness(
-    g: Graph,
-    k: int,
-    u_prime: int,
-    v_prime: int,
-    w: int,
-    cert_uv: tuple[int, ...],
-    cert_wu: tuple[int, ...],
-    cert_wv: tuple[int, ...],
-) -> KatWitness:
-    trip = tuple(sorted((u_prime, v_prime, w)))
-    by_ends = {
-        frozenset((u_prime, v_prime)): cert_uv,
-        frozenset((w, u_prime)): cert_wu,
-        frozenset((w, v_prime)): cert_wv,
-    }
-    paths = []
-    for x, y in ((trip[0], trip[1]), (trip[0], trip[2]), (trip[1], trip[2])):
-        path = by_ends[frozenset((x, y))]
-        if path[0] != x:
-            path = tuple(reversed(path))
-        paths.append(path)
-    return KatWitness(trip, k, (paths[0], paths[1], paths[2]))
+def _arrange_witness(k: int, certs: Sequence[tuple[int, ...]]) -> KatWitness:
+    """The k-AT joined pairwise by certs: each runs smaller end first, and
+    sorting on (first, last) puts them in the sorted-triple pair order."""
+    paths = sorted((q if q[0] < q[-1] else q[::-1] for q in certs), key=lambda q: (q[0], q[-1]))
+    return KatWitness((paths[0][0], paths[0][-1], paths[2][-1]), k, tuple(paths))
 
 
-def survey_improvement(g: Graph, k: int, p: Sequence[int]) -> ImprovementState:
-    """Collect the choices one improvement round starts from."""
-    p = tuple(p)
-    if not is_path(g, p):
-        raise ValueError(f"{p} is not a path of the graph")
-    w = _choose_uncovered(g, k, p)
-    if w is None:
-        raise ValueError("improve_once requires a path with eccentricity above k")
+def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
+    """The improvement step on path p for the uncovered vertex w."""
     a = _nearest(g, w, sorted(p))
     path_wa = _shortest_path(g, w, a)
     assert set(path_wa) & set(p) == {a}
-    return ImprovementState(p, _mask_to_set(_cover_mask(g, p, k)), w, a, path_wa)
-
-
-def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
-    """One round of the improvement step on a path whose eccentricity exceeds k."""
-    state = survey_improvement(g, k, p)
-    p, w, a, path_wa = state.path, state.w, state.a, state.path_wa
     u, v = p[0], p[-1]
 
     # the connector lands on an extremity: prepend or append it outright
@@ -276,7 +233,7 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
         return _improving(g, k, p, w, path_u + p[1:] + path_v[1:])
     if _cover_mask(g, path_v, k) >> u_prime & 1:
         return _reroute_far(g, k, p, ia, path_wa, path_u, path_v, u_prime, w)
-    if _cover_mask(g, tuple(reversed(path_u)), k) >> v_prime & 1:
+    if _cover_mask(g, path_u, k) >> v_prime & 1:
         return _reroute_far(
             g,
             k,
@@ -292,45 +249,33 @@ def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     cert_uv = _shortcut(path_u + p[1:] + path_v[1:])
     cert_wu = _shortcut(path_wa + tuple(reversed(p[: ia + 1]))[1:] + tuple(reversed(path_u))[1:])
     cert_wv = _shortcut(path_wa + p[ia + 1 :] + path_v[1:])
-    witness = _arrange_witness(g, k, u_prime, v_prime, w, cert_uv, cert_wu, cert_wv)
+    witness = _arrange_witness(k, (cert_uv, cert_wu, cert_wv))
     if not verify_kat(g, witness):
         raise _step_failed(g, k, p, "certificate fails verify_kat")
     return Certificate(witness)
 
 
-def find_k_dominating_path_or_witness(
-    g: Graph, k: int, trace: TraceSink = None
-) -> Dichotomy:
-    """A path with eccentricity at most k, or a verified k-AT of g.
+def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
+    """One round of the paper's improvement step on a path whose eccentricity
+    exceeds k: w is the vertex farthest from p, smallest index on ties."""
+    p = tuple(p)
+    if not is_path(g, p):
+        raise ValueError(f"{p} is not a path of the graph")
+    w = _choose_uncovered(g, k, p)
+    if w is None:
+        raise ValueError("improve_once requires a path with eccentricity above k")
+    return _step(g, k, p, w)
 
-    The witness side takes precedence: a path is returned exactly when g
-    has no k-AT, so the answer's shape always reflects the obstruction
-    (both can exist at once; a graph may admit a k-dominating path and
-    still contain a k-AT).  The witness is :func:`find_k_at`'s.
 
-    On a k-AT-free graph the improvement loop builds the path.  Progress is
-    monotone: every step grows the covered set or, at equal coverage,
-    shrinks the path, so the loop terminates.  A certificate there would
-    contradict :func:`find_k_at`, so it raises :class:`RuntimeError`.
+def _cover(g: Graph, k: int, p: tuple[int, ...], cov: int, trace: TraceSink) -> tuple[int, ...]:
+    """Step from path p, whose N^k is cov, until it covers g; g must be k-AT-free.
 
-    The optional trace receives one record per step; the kinds are seed,
-    witness_priority, improved, shortened and path_done.
+    Progress is monotone: every step grows the covered set or, at equal
+    coverage, shrinks the path, so the loop terminates.  A certificate
+    would contradict k-AT-freeness, so it raises :class:`RuntimeError`.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not is_connected(g):
-        raise ValueError("find_k_dominating_path_or_witness requires a connected graph")
-    full = (1 << g.n) - 1
-    p = greedy_seed_path(g)
-    cov = _cover_mask(g, p, k)
-    _trace(trace, "seed", cov.bit_count(), len(p), None)
-    witness = find_k_at(g, k)
-    if witness is not None:
-        _trace(trace, "witness_priority", cov.bit_count(), len(p), None)
-        return Dichotomy(witness=witness)
-    while cov != full:
-        w = None if trace is None else _choose_uncovered(g, k, p)
-        step = improve_once(g, k, p)
+    while (w := _choose_uncovered(g, k, p)) is not None:
+        step = _step(g, k, p, w)
         if isinstance(step, ImprovedPath):
             new_cov = _cover_mask(g, step.path, k)
             assert new_cov & cov == cov and new_cov != cov and set(p) <= set(step.path)
@@ -342,5 +287,35 @@ def find_k_dominating_path_or_witness(
             _trace(trace, "shortened", cov.bit_count(), len(p), w)
         else:
             raise _step_failed(g, k, p, "certificate although find_k_at found no k-AT")
+    return p
+
+
+def find_k_dominating_path_or_witness(
+    g: Graph, k: int, trace: TraceSink = None
+) -> Dichotomy:
+    """A path with eccentricity at most k, or a verified k-AT of g.
+
+    The witness side takes precedence: a path is returned exactly when g
+    has no k-AT, so the answer's shape always reflects the obstruction
+    (both can exist at once; a graph may admit a k-dominating path and
+    still contain a k-AT).  The witness is :func:`find_k_at`'s.  On a
+    k-AT-free graph the improvement loop builds the path from the greedy
+    seed.
+
+    The optional trace receives one record per step; the kinds are seed,
+    witness_priority, improved, shortened and path_done.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not is_connected(g):
+        raise ValueError("find_k_dominating_path_or_witness requires a connected graph")
+    p = greedy_seed_path(g)
+    cov = _cover_mask(g, p, k)
+    _trace(trace, "seed", cov.bit_count(), len(p), None)
+    witness = find_k_at(g, k)
+    if witness is not None:
+        _trace(trace, "witness_priority", cov.bit_count(), len(p), None)
+        return Dichotomy(witness=witness)
+    p = _cover(g, k, p, cov, trace)
     _trace(trace, "path_done", g.n, len(p), None)
     return Dichotomy(path=p)

@@ -67,6 +67,9 @@ def _load_graph(
                 raise CliError(f"{connected} requires a connected graph, "
                                f"got n={n} with m={m} edges")
             return parse_edge_list(text)
+        if len(lines) > 1:
+            raise CliError(f"{arg}: expected one graph6 line, found {len(lines)} "
+                           f"non-blank lines")
         return parse_graph6(lines[0])
     try:
         return parse_graph6(arg)
@@ -76,12 +79,19 @@ def _load_graph(
 
 def _load_corpus(arg: str) -> tuple[list[Graph], str]:
     if arg.startswith("exhaustive:"):
-        n = int(arg.split(":", 1)[1])
+        try:
+            n = int(arg.split(":", 1)[1])
+        except ValueError:
+            raise CliError(f"corpus {arg!r}: N in 'exhaustive:N' must be an integer") from None
         return list(enumerate_connected(n)), arg
     if arg.startswith("gen:"):
         parts = arg.split(":")
-        spec = FamilySpec(parts[1], tuple(float(x) for x in parts[2:]))
-        return [generate(spec)], arg
+        try:
+            params = tuple(float(x) for x in parts[2:])
+        except ValueError:
+            raise CliError(f"corpus {arg!r}: the params in 'gen:family:params' "
+                           f"must be numbers") from None
+        return [generate(FamilySpec(parts[1], params))], arg
     if os.path.exists(arg):
         graphs = []
         with open(arg, encoding="utf-8") as fh:

@@ -40,14 +40,11 @@ def test_improve_once_prepends_when_connector_hits_extremity():
     assert step.path == (2, 1, 0)  # deepest uncovered tip walks in
 
 
-def test_survey_improvement_state():
-    from pathecc.central_path import survey_improvement
-
+def test_improve_once_absorbs_smallest_farthest_tip():
+    # w is the smallest-index distance-2 tip 4, a = 0, connector (4, 3, 0)
     g = subdivided_claw(2)
-    state = survey_improvement(g, 1, (0, 1, 2))
-    assert state.w == 4  # smallest index among the two distance-2 tips
-    assert state.a == 0 and state.path_wa == (4, 3, 0)
-    assert state.covered == frozenset({0, 1, 2, 3, 5})
+    assert improve_once(g, 1, (0, 1, 2)) == ImprovedPath((4, 3, 0, 1, 2))
+    assert improve_once(g, 1, (2, 1, 0)) == ImprovedPath((2, 1, 0, 3, 4))
 
 
 def test_improve_once_requires_bad_eccentricity():
@@ -177,14 +174,16 @@ def test_improve_once_reroutes_around_far_candidate():
     assert {3, 1, 6, 0} <= set(step.path)
 
 
-def test_certificate_in_path_loop_raises(monkeypatch):
-    """A certificate after find_k_at's None refutes the step: it names the graph."""
-    import pathecc.central_path as cp
+def test_certificate_in_path_loop_raises():
+    """A certificate in the path loop refutes the step: it names the graph."""
+    from pathecc.central_path import _cover, _cover_mask
 
-    # from the greedy seed the loop shortens twice, then certifies (2, 4, 6)
-    monkeypatch.setattr(cp, "find_k_at", lambda g, k: None)
-    with pytest.raises(RuntimeError, match=r"FkE\?G"):
-        cp.find_k_dominating_path_or_witness(subdivided_claw(2), 1)
+    # the loop trusts its caller that g is 1-AT-free; this claw is not, so
+    # from the greedy seed it shortens twice, then certifies (2, 4, 6)
+    g = subdivided_claw(2)
+    p = greedy_seed_path(g)
+    with pytest.raises(RuntimeError, match=r"no k-AT\) on graph6 FkE\?G"):
+        _cover(g, 1, p, _cover_mask(g, p, 1), None)
 
 
 def test_proof_mode_steps_are_sound(connected_upto_5):

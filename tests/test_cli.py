@@ -189,6 +189,29 @@ def test_huge_edge_list_header_exits_2_before_building(tmp_path, capsys, command
         assert f"limited to n <= {cap}, got n=3000000" in err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("pe", []), ("ecc", ["0"]), ("kat", []), ("min-kat", []), ("star-c1p", []),
+     ("central-path", ["--k", "1"])],
+)
+@pytest.mark.parametrize("second", ["Dhc", "@@@"], ids=["graph", "unparsable"])
+def test_graph6_file_with_several_lines_exits_2(tmp_path, capsys, command, extra, second):
+    f = tmp_path / "two.g6"
+    f.write_text(f"FkE?G\n\n{second}\n")
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert code == 2 and out == ""
+    assert err == f"pathecc: {f}: expected one graph6 line, found 2 non-blank lines\n"
+
+
+@pytest.mark.parametrize("command", ["hunt", "suite"])
+@pytest.mark.parametrize("spec", ["exhaustive:", "exhaustive:x", "gen:cycle:5:", "gen:cycle:y"])
+def test_malformed_corpus_spec_names_the_spec(capsys, command, spec):
+    extra = ["--props", "theorem1"] if command == "suite" else []
+    code, out, err = run(capsys, command, spec, *extra)
+    assert code == 2 and out == ""
+    assert err.startswith(f"pathecc: corpus {spec!r}: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
