@@ -33,11 +33,10 @@ from .graphs import (
 )
 from .pqtree import BinaryMatrix, PQTree, frontier, has_c1p, pq_reduce
 from .star_c1p import (
-    OrderedNeighborhoodBounds,
     OrderingWitness,
     check_order_lemma,
+    check_path_neighborhood,
     find_star_c1p,
-    neighborhood_bounds,
     verify_witness,
 )
 from .suite import HuntResult, PropertyReport, hunt_conjecture, run_property_suite

@@ -12,9 +12,9 @@ corresponds to one leaf of the branch tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .graphs import Graph, is_induced_path, neighborhood_k
+from .graphs import Graph, induced_paths
 from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, pq_reduce
 
 MAX_N = 20
@@ -26,12 +26,6 @@ class OrderingWitness:
 
     mu: tuple[int, ...]
     diagonal: frozenset[int]
-
-
-@dataclass(frozen=True)
-class OrderedNeighborhoodBounds:
-    min_rank: int
-    max_rank: int
 
 
 def partially_augmented_matrix(g: Graph, diagonal: Iterable[int] = ()) -> BinaryMatrix:
@@ -57,19 +51,22 @@ def _check_mu(g: Graph, w: OrderingWitness) -> None:
             raise ValueError(f"diagonal vertex {v} out of range")
 
 
+def _rank_rows(g: Graph, w: OrderingWitness) -> list[int]:
+    """``rows[r]`` is the rank mask of N(v) for the vertex v of rank r."""
+    _check_mu(g, w)
+    rows = [0] * g.n
+    for v, r in enumerate(w.mu):
+        rows[r] = sum(1 << w.mu[u] for u in g.adj[v])
+    return rows
+
+
 def verify_witness(g: Graph, w: OrderingWitness) -> bool:
     """True iff every vertex's chosen neighborhood occupies consecutive ranks."""
-    _check_mu(g, w)
-    for v in range(g.n):
-        nb = set(g.adj[v])
-        if v in w.diagonal:
-            nb.add(v)
-        if not nb:
-            continue
-        ranks = [w.mu[u] for u in nb]
-        if max(ranks) - min(ranks) + 1 != len(ranks):
-            return False
-    return True
+    rows = _rank_rows(g, w)
+    for v in w.diagonal:
+        rows[w.mu[v]] |= 1 << w.mu[v]
+    # adding its lowest one to a contiguous run of ones clears the whole run
+    return all(r & (r + (r & -r)) == 0 for r in rows)
 
 
 def _lex_min_frontier(node: Node) -> tuple[int, ...]:
@@ -146,51 +143,75 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     return witness
 
 
-def neighborhood_bounds(g: Graph, w: OrderingWitness, v: int) -> OrderedNeighborhoodBounds:
-    """Smallest and largest rank among the open neighborhood of v."""
-    _check_mu(g, w)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if not g.adj[v]:
-        raise ValueError(f"vertex {v} is isolated")
-    ranks = [w.mu[u] for u in g.adj[v]]
-    return OrderedNeighborhoodBounds(min(ranks), max(ranks))
+def _monotonic(seq: list[int]) -> bool:
+    return seq == sorted(seq) or seq == sorted(seq, reverse=True)
 
 
-def _monotonic(seq: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(seq, seq[1:])) or all(
-        a >= b for a, b in zip(seq, seq[1:])
-    )
+def _span(r1: int, r2: int) -> int:
+    """Mask of the ranks from min(r1, r2) to max(r1, r2), both included."""
+    lo, hi = min(r1, r2), max(r1, r2)
+    return (2 << hi) - (1 << lo)
 
 
-def check_order_lemma(g: Graph, w: OrderingWitness, p: Sequence[int]) -> bool:
-    """Rank-order conditions an induced path must satisfy under a witness.
+def check_order_lemma(g: Graph, w: OrderingWitness) -> Optional[tuple[int, ...]]:
+    """First induced path breaking the rank-order conditions under w, or None.
 
-    Checks that the alternating vertex sequences from both extremities are
-    rank-monotonic, that the rank interval spanned by each sequence lies
-    inside the ranks of the path's closed neighborhood, and, for even
-    length, that the whole extremity-to-extremity interval does.
+    For each induced path p, in ``induced_paths`` order: the alternating
+    vertex sequences from both extremities must be rank-monotonic, and the
+    rank interval spanned by each sequence must lie inside the ranks of
+    N[p].  For even length both sequences span the extremity-to-extremity
+    interval.
     """
-    _check_mu(g, w)
-    p = tuple(p)
-    if not is_induced_path(g, p):
-        raise ValueError(f"{p} is not an induced path of the graph")
-    length = len(p) - 1
-    ranks_of_closed = {w.mu[x] for x in neighborhood_k(g, p, 1)}
+    rows = _rank_rows(g, w)
+    closed_of = [rows[r] | 1 << r for r in w.mu]  # rank mask of N[v], by vertex v
+    for p in induced_paths(g):
+        ranks = [w.mu[x] for x in p]
+        closed = 0
+        for x in p:
+            closed |= closed_of[x]
+        length = len(p) - 1
+        half = 2 * (length // 2)
+        span = _span(ranks[0], ranks[half]) | _span(ranks[length - half], ranks[length])
+        if span & ~closed or not (
+            _monotonic(ranks[0::2]) and _monotonic(ranks[length::-2])
+        ):
+            return p
+    return None
 
-    def interval_covered(r1: int, r2: int) -> bool:
-        lo, hi = min(r1, r2), max(r1, r2)
-        return all(r in ranks_of_closed for r in range(lo, hi + 1))
 
-    seq_u = [w.mu[p[i]] for i in range(0, length + 1, 2)]
-    seq_v = [w.mu[p[i]] for i in range(length, -1, -2)]
-    half = 2 * (length // 2)
-    if not (_monotonic(seq_u) and _monotonic(seq_v)):
-        return False
-    if not interval_covered(w.mu[p[0]], w.mu[p[half]]):
-        return False
-    if not interval_covered(w.mu[p[length - half]], w.mu[p[length]]):
-        return False
-    if length % 2 == 0 and not interval_covered(w.mu[p[0]], w.mu[p[length]]):
-        return False
-    return True
+def check_path_neighborhood(
+    g: Graph, w: OrderingWitness
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """First (p, x) breaking the rank bounds under w, or None.
+
+    p runs over the odd-length induced paths in ``induced_paths`` order and
+    x in vertex order over the vertices outside N[p].  With u, v the
+    extremities: if x sits beyond both in the order, both neighborhoods end
+    before x; if before both, they start after x; if between, the far
+    extremity's neighborhood ends before x and the near one's starts after it.
+    """
+    rows = _rank_rows(g, w)
+    closed_of = [rows[r] | 1 << r for r in w.mu]
+    lo = [(row & -row).bit_length() - 1 for row in rows]
+    hi = [row.bit_length() - 1 for row in rows]
+    for p in induced_paths(g):
+        if len(p) % 2 != 0:  # odd number of edges = even vertex count
+            continue
+        closed = 0
+        for y in p:
+            closed |= closed_of[y]
+        ru, rv = w.mu[p[0]], w.mu[p[-1]]
+        for x, rx in enumerate(w.mu):
+            if closed >> rx & 1:
+                continue
+            if rx > ru and rx > rv:
+                holds = hi[ru] <= rx and hi[rv] <= rx
+            elif rx < ru and rx < rv:
+                holds = rx <= lo[ru] and rx <= lo[rv]
+            elif ru < rx < rv:
+                holds = hi[rv] <= rx <= lo[ru]
+            else:
+                holds = hi[ru] <= rx <= lo[rv]
+            if not holds:
+                return p, x
+    return None

@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -20,18 +21,12 @@ from .asteroidal import find_k_at, min_k_at_free, verify_kat
 from .central_path import find_k_dominating_path_or_witness
 from .eccentricity import has_path_with_ecc_at_most, pe_exact
 from .families import emit_graph6
-from .graphs import (
-    Graph,
-    find_long_induced_cycle,
-    induced_paths,
-    is_connected,
-    neighborhood_k,
-)
+from .graphs import Graph, find_long_induced_cycle, is_connected
 from .star_c1p import (
     OrderingWitness,
     check_order_lemma,
+    check_path_neighborhood,
     find_star_c1p,
-    neighborhood_bounds,
     verify_witness,
 )
 
@@ -101,7 +96,11 @@ class _GraphCase:
         return pe_exact(self.g).value
 
 
-_SKIP = object()
+class _Outcome(Enum):
+    SKIP = "skip"  # pickled by name, so worker processes return this very member
+
+
+_SKIP = _Outcome.SKIP
 
 
 def _prop_theorem1(case: _GraphCase):
@@ -153,55 +152,19 @@ def _prop_c5_free(case: _GraphCase):
 def _prop_order_lemma(case: _GraphCase):
     if case.g.n > star_c1p.MAX_N:
         return _SKIP
-    w = case.star
-    if w is None:
+    if case.star is None:
         return None
-    for p in induced_paths(case.g):
-        if not check_order_lemma(case.g, w, p):
-            return f"order conditions fail on induced path {p}"
-    return None
-
-
-def path_neighborhood_holds(
-    g: Graph, w: OrderingWitness, p: tuple[int, ...], x: int
-) -> bool:
-    """Rank bounds forced on a vertex x outside N[p] for odd-length induced p.
-
-    With u, v the extremities: if x sits beyond both in the order, both
-    neighborhoods end before x; if before both, they start after x; if
-    between, the far extremity's neighborhood ends before x and the near
-    one's starts after it.
-    """
-    u, v = p[0], p[-1]
-    ru, rv, rx = w.mu[u], w.mu[v], w.mu[x]
-    bu = neighborhood_bounds(g, w, u)
-    bv = neighborhood_bounds(g, w, v)
-    if rx > ru and rx > rv:
-        return bu.max_rank <= rx and bv.max_rank <= rx
-    if rx < ru and rx < rv:
-        return rx <= bu.min_rank and rx <= bv.min_rank
-    if ru < rx < rv:
-        return bv.max_rank <= rx <= bu.min_rank
-    return bu.max_rank <= rx <= bv.min_rank
+    p = check_order_lemma(case.g, case.star)
+    return None if p is None else f"order conditions fail on induced path {p}"
 
 
 def _prop_path_neighborhood(case: _GraphCase):
     if case.g.n > star_c1p.MAX_N:
         return _SKIP
-    w = case.star
-    if w is None:
+    if case.star is None:
         return None
-    g = case.g
-    for p in induced_paths(g):
-        if len(p) % 2 != 0:  # odd number of edges = even vertex count
-            continue
-        closed = neighborhood_k(g, p, 1)
-        for x in range(g.n):
-            if x in closed:
-                continue
-            if not path_neighborhood_holds(g, w, p, x):
-                return f"rank bounds fail for path {p} and vertex {x}"
-    return None
+    bad = check_path_neighborhood(case.g, case.star)
+    return None if bad is None else "rank bounds fail for path {} and vertex {}".format(*bad)
 
 
 def _prop_star_c1p_exists(case: _GraphCase):

@@ -181,6 +181,60 @@ def reference_min_k_at_free(g: Graph) -> int:
     return k
 
 
+def closed_neighborhood(g: Graph, p) -> set[int]:
+    """N[p]: the path's vertices and all their neighbors."""
+    return set(p).union(*(g.adj[y] for y in p))
+
+
+def reference_order_lemma(g: Graph, w, p) -> bool:
+    """The rank-order conditions on one induced path p, from sets of ranks.
+
+    The alternating vertex sequences from both extremities are
+    rank-monotonic, and the rank interval each spans, plus for even length
+    the extremity-to-extremity one, lies inside the ranks of N[p].
+    """
+    length = len(p) - 1
+    ranks_of_closed = {w.mu[x] for x in closed_neighborhood(g, p)}
+
+    def monotonic(seq):
+        pairs = list(zip(seq, seq[1:]))
+        return all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
+
+    def covered(r1, r2):
+        return all(r in ranks_of_closed for r in range(min(r1, r2), max(r1, r2) + 1))
+
+    seq_u = [w.mu[p[i]] for i in range(0, length + 1, 2)]
+    seq_v = [w.mu[p[i]] for i in range(length, -1, -2)]
+    half = 2 * (length // 2)
+    return (
+        monotonic(seq_u)
+        and monotonic(seq_v)
+        and covered(w.mu[p[0]], w.mu[p[half]])
+        and covered(w.mu[p[length - half]], w.mu[p[length]])
+        and (length % 2 == 1 or covered(w.mu[p[0]], w.mu[p[length]]))
+    )
+
+
+def reference_path_neighborhood(g: Graph, w, p, x: int) -> bool:
+    """The rank bounds on a vertex x outside N[p], p an odd-length induced path.
+
+    With u, v the extremities: if x sits beyond both in the order, both
+    neighborhoods end before x; if before both, they start after x; if
+    between, the far extremity's neighborhood ends before x and the near
+    one's starts after it.
+    """
+    ru, rv, rx = w.mu[p[0]], w.mu[p[-1]], w.mu[x]
+    u_ranks = [w.mu[y] for y in g.adj[p[0]]]
+    v_ranks = [w.mu[y] for y in g.adj[p[-1]]]
+    if rx > ru and rx > rv:
+        return max(u_ranks) <= rx and max(v_ranks) <= rx
+    if rx < ru and rx < rv:
+        return rx <= min(u_ranks) and rx <= min(v_ranks)
+    if ru < rx < rv:
+        return max(v_ranks) <= rx <= min(u_ranks)
+    return max(u_ranks) <= rx <= min(v_ranks)
+
+
 def reference_canonical_key(g: Graph) -> tuple[int, ...]:
     """Minimum adjacency bitstring over all vertex orderings.
 

@@ -32,10 +32,16 @@ from pathecc.families import (
     parse_graph6,
     subdivided_claw,
 )
-from pathecc.graphs import find_long_induced_cycle, induced_paths, neighborhood_k
+from pathecc.graphs import find_long_induced_cycle
 from pathecc.pqtree import BinaryMatrix, has_c1p, is_c1p_order
-from pathecc.star_c1p import OrderingWitness, check_order_lemma, find_star_c1p, verify_witness
-from pathecc.suite import hunt_conjecture, path_neighborhood_holds
+from pathecc.star_c1p import (
+    OrderingWitness,
+    check_order_lemma,
+    check_path_neighborhood,
+    find_star_c1p,
+    verify_witness,
+)
+from pathecc.suite import hunt_conjecture
 
 EXTERNAL_N8 = Path(__file__).parent / "data" / "graph8c.g6"
 
@@ -238,14 +244,12 @@ def test_criterion_9_lemma_suites(corpus7, star_map):
         if find_long_induced_cycle(g, 5) is not None:
             violations.append((emit_graph6(g), "long chordless cycle"))
             continue
-        for p in induced_paths(g):
-            if not check_order_lemma(g, w, p):
-                violations.append((emit_graph6(g), "order", p))
-            if len(p) % 2 == 0:  # odd path length
-                closed = neighborhood_k(g, p, 1)
-                for x in range(g.n):
-                    if x not in closed and not path_neighborhood_holds(g, w, p, x):
-                        violations.append((emit_graph6(g), "bounds", p, x))
+        p = check_order_lemma(g, w)
+        if p is not None:
+            violations.append((emit_graph6(g), "order", p))
+        bad = check_path_neighborhood(g, w)
+        if bad is not None:
+            violations.append((emit_graph6(g), "bounds", *bad))
     report(9, "induced-path rank lemmas", violations)
 
 

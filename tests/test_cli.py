@@ -289,6 +289,17 @@ def test_invalid_worker_count_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "CPK_THREADS" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_skipped_graphs_are_not_violations_with_workers(tmp_path, capsys, monkeypatch, workers):
+    f = tmp_path / "corpus.g6"
+    f.write_text("C`\nBw\n")  # a disconnected graph, then a connected one
+    monkeypatch.setenv("CPK_THREADS", workers)
+    code, doc, _ = run_json(capsys, "suite", str(f), "--props", "theorem3")
+    assert code == 0 and doc["passed"] is True
+    (res,) = doc["results"]
+    assert res["checked"] == 1 and res["skipped"] == 1 and res["violations"] == []
+
+
 # --- fuzzing: malformed input is exit 2 with one stderr line -----------------
 
 _FUZZ = settings(

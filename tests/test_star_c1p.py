@@ -4,8 +4,14 @@ import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_strategy
+from conftest import (
+    closed_neighborhood,
+    graph_strategy,
+    reference_order_lemma,
+    reference_path_neighborhood,
+)
 from pathecc.asteroidal import find_k_at
 from pathecc.families import (
     FIG_C_DIAGONAL,
@@ -24,9 +30,10 @@ from pathecc.graphs import Graph, find_long_induced_cycle, induced_paths
 from pathecc.pqtree import has_c1p
 from pathecc.star_c1p import (
     OrderingWitness,
+    _rank_rows,
     check_order_lemma,
+    check_path_neighborhood,
     find_star_c1p,
-    neighborhood_bounds,
     partially_augmented_matrix,
     verify_witness,
 )
@@ -130,53 +137,70 @@ def test_plain_or_augmented_c1p_implies_witness(g):
         assert find_star_c1p(g) is not None
 
 
+def _bounds(g, w, v):
+    """Lowest and highest rank in N(v), read off the rank rows."""
+    row = _rank_rows(g, w)[w.mu[v]]
+    return (row & -row).bit_length() - 1, row.bit_length() - 1
+
+
 def test_neighborhood_bounds_examples():
     k2 = path_graph(2)
-    b = neighborhood_bounds(k2, OrderingWitness((0, 1), frozenset()), 0)
-    assert (b.min_rank, b.max_rank) == (1, 1)
+    assert _bounds(k2, OrderingWitness((0, 1), frozenset()), 0) == (1, 1)
 
     w = OrderingWitness(IDENT6, FIG_C_DIAGONAL)
-    b5 = neighborhood_bounds(fig_example_c(), w, 4)  # v5 sees v1..v4
-    assert (b5.min_rank, b5.max_rank) == (0, 3)
+    assert _bounds(fig_example_c(), w, 4) == (0, 3)  # v5 sees v1..v4
 
     star = subdivided_claw(1)
     mu = (3, 0, 1, 2)  # center ordered last
-    bc = neighborhood_bounds(star, OrderingWitness(mu, frozenset()), 0)
-    assert (bc.min_rank, bc.max_rank) == (0, 2)
+    assert _bounds(star, OrderingWitness(mu, frozenset()), 0) == (0, 2)
 
     lonely = Graph.from_edges(2, [])
+    assert _rank_rows(lonely, OrderingWitness((0, 1), frozenset())) == [0, 0]
     with pytest.raises(ValueError):
-        neighborhood_bounds(lonely, OrderingWitness((0, 1), frozenset()), 0)
+        _rank_rows(lonely, OrderingWitness((1, 1), frozenset()))
 
 
 def test_check_order_lemma_trivial_and_p3():
-    g = fig_example_c()
-    w = OrderingWitness(IDENT6, FIG_C_DIAGONAL)
-    assert check_order_lemma(g, w, (0,))  # single vertex: empty conditions
+    assert check_order_lemma(Graph.from_edges(1), OrderingWitness((0,), frozenset())) is None
     # induced u-m-v: the rank interval between the ends sits inside N[path]
-    assert check_order_lemma(g, w, (0, 4, 2))
+    assert check_order_lemma(path_graph(3), OrderingWitness((0, 2, 1), frozenset())) is None
+    # ... and fails once a vertex outside N[path] is ranked inside it
+    g = Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert check_order_lemma(g, OrderingWitness((0, 2, 3, 1), frozenset())) == (0, 1, 2)
 
 
-def test_check_order_lemma_rejects_non_induced():
+def test_check_order_lemma_rejects_bad_witness():
     g = cycle(3)
-    w = OrderingWitness((0, 1, 2), frozenset())
-    with pytest.raises(ValueError):
-        check_order_lemma(g, w, (0, 1, 2))
+    for w in (
+        OrderingWitness((0, 1, 1), frozenset()),
+        OrderingWitness((0, 1), frozenset()),
+        OrderingWitness((0, 1, 2), frozenset({3})),
+    ):
+        with pytest.raises(ValueError):
+            check_order_lemma(g, w)
+        with pytest.raises(ValueError):
+            check_path_neighborhood(g, w)
 
 
 def test_check_order_lemma_all_induced_paths_of_fig_c():
     g = fig_example_c()
     w = find_star_c1p(g)
     assert w is not None
-    for p in induced_paths(g):
-        assert check_order_lemma(g, w, p)
+    assert check_order_lemma(g, w) is None
+    assert check_path_neighborhood(g, w) is None
 
 
 def test_check_order_lemma_detects_violations():
-    # ranks (0, 4, 2) along the alternating sequence are not monotonic
+    # ranks (0, 4) of the ends of (0, 1, 2) span rank 2, held by vertex 4
     g = path_graph(5)
     w = OrderingWitness((0, 1, 4, 3, 2), frozenset())
-    assert not check_order_lemma(g, w, (0, 1, 2, 3, 4))
+    assert check_order_lemma(g, w) == (0, 1, 2)
+    # on P6 only the sequence from the far end, ranks (5, 3, 4), is not monotonic
+    w = OrderingWitness((0, 4, 1, 3, 2, 5), frozenset())
+    assert check_order_lemma(path_graph(6), w) == (0, 1, 2, 3, 4, 5)
+    # vertex 3 is ranked beyond both ends of (0, 1), but N(1) reaches past it
+    w = OrderingWitness((0, 1, 3, 2), frozenset())
+    assert check_path_neighborhood(path_graph(4), w) == ((0, 1), 3)
 
 
 @given(graph_strategy(max_n=6))
@@ -189,5 +213,31 @@ def test_witnessed_graphs_small_corpus_structure(g):
     assert verify_witness(g, w)
     assert find_k_at(g, 2) is None
     assert find_long_induced_cycle(g, 5) is None
-    for p in induced_paths(g):
-        assert check_order_lemma(g, w, p)
+    assert check_order_lemma(g, w) is None
+    assert check_path_neighborhood(g, w) is None
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rank_lemma_checks_match_the_per_path_reference(data):
+    """Each check reports the first path, or (path, vertex), the reference rejects."""
+    g = data.draw(graph_strategy(max_n=8))
+    orders = [OrderingWitness(tuple(data.draw(st.permutations(range(g.n)))), frozenset())]
+    found = find_star_c1p(g)
+    if found is not None:
+        orders.append(found)
+    paths = list(induced_paths(g))
+    for w in orders:
+        want_order = next((p for p in paths if not reference_order_lemma(g, w, p)), None)
+        assert check_order_lemma(g, w) == want_order
+        outside = [
+            (p, x)
+            for p in paths
+            if len(p) % 2 == 0
+            for x in range(g.n)
+            if x not in closed_neighborhood(g, p)
+        ]
+        want_bounds = next(
+            (px for px in outside if not reference_path_neighborhood(g, w, *px)), None
+        )
+        assert check_path_neighborhood(g, w) == want_bounds

@@ -9,11 +9,16 @@ from pathecc.families import (
     emit_graph6,
     enumerate_connected,
     fig_example_c,
+    path_graph,
     subdivided_claw,
 )
 from pathecc.graphs import Graph
+from pathecc.star_c1p import OrderingWitness
 from pathecc.suite import (
     PROPERTIES,
+    _GraphCase,
+    _prop_order_lemma,
+    _prop_path_neighborhood,
     _worker_count,
     hunt_conjecture,
     run_property_suite,
@@ -98,14 +103,27 @@ def test_disconnected_graphs_are_skipped_for_pe_properties():
 
 
 def test_parallel_run_matches_sequential():
+    # a disconnected graph and a 17-vertex path make some properties skip;
+    # C5 has no ordering witness, a violation of star_c1p_exists
     corpus = list(enumerate_connected(5))
-    seq = run_property_suite(corpus, ["theorem4", "c5_free"], corpus_name="x")
+    corpus += [Graph.from_edges(4, [(0, 1), (2, 3)]), path_graph(17), cycle(5)]
+    seq = run_property_suite(corpus, PROPERTIES, corpus_name="x")
     os.environ["CPK_THREADS"] = "2"
     try:
-        par = run_property_suite(corpus, ["theorem4", "c5_free"], corpus_name="x")
+        par = run_property_suite(corpus, PROPERTIES, corpus_name="x")
     finally:
         del os.environ["CPK_THREADS"]
     assert seq.results == par.results
+    assert any(r.skipped for r in par.results) and not par.passed
+
+
+def test_rank_lemma_properties_name_the_first_failure():
+    case = _GraphCase(path_graph(5))
+    case.star = OrderingWitness((0, 1, 4, 3, 2), frozenset())
+    assert _prop_order_lemma(case) == "order conditions fail on induced path (0, 1, 2)"
+    case = _GraphCase(path_graph(4))
+    case.star = OrderingWitness((0, 1, 3, 2), frozenset())
+    assert _prop_path_neighborhood(case) == "rank bounds fail for path (0, 1) and vertex 3"
 
 
 def test_hunt_small_corpora_find_nothing():
