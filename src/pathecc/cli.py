@@ -331,11 +331,11 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             if result.checked == 0:
                 raise CliError(
                     f"hunt checked no graph: all {result.searched} in {name} are "
-                    f"oversized or disconnected"
+                    f"empty, oversized or disconnected"
                 )
             if result.skipped:
                 print(f"pathecc: hunt skipped {result.skipped} of {result.searched} "
-                      f"graphs (oversized or disconnected)", file=sys.stderr)
+                      f"graphs (empty, oversized or disconnected)", file=sys.stderr)
             ce = result.counterexample
             _emit({
                 "schema": SCHEMA,

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _sweep
 from .pqtree import BinaryMatrix
 
 
@@ -461,32 +461,67 @@ def _certificate(masks: Sequence[int], n: int) -> tuple[int, ...]:
     return best
 
 
+def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...]:
+    """The graphs on m vertices one new vertex away from ``level``, up to iso.
+
+    Each representative of ``level`` is extended, in order, by the
+    neighborhoods S of the new vertex m - 1 in numeric order; the first
+    extension of each isomorphism class (deduplicated by
+    :func:`_certificate`) is kept and the result sorted by
+    :func:`canonical_key`.  Two cuts leave that result unchanged:
+
+    - S is skipped when some x in S has a twin y < x outside S.  Swapping
+      the twins is an automorphism of the parent, so S - x + y gives an
+      isomorphic child that comes earlier; the first extension of every
+      class is twin-packed.
+    - With ``connected`` set, S must meet every component of the parent, so
+      only the connected classes are built.  Isomorphism preserves
+      connectivity, so each keeps its representative.
+    """
+    new = 1 << (m - 1)
+    full = new - 1
+    found: dict[tuple[int, ...], Graph] = {}
+    for parent in level:
+        base = parent.adj_masks
+        # (x, its smaller twins) for each x that has some
+        lower_twins = [
+            (1 << x, t & ((1 << x) - 1))
+            for x, t in enumerate(_twin_masks(base))
+            if t & ((1 << x) - 1)
+        ]
+        components = []
+        rest = full if connected else 0
+        while rest:
+            comp = _sweep(base, rest & -rest, full, -1)[0]
+            components.append(comp)
+            rest &= ~comp
+        edges = parent.edges()
+        for nbhd in range(new):
+            if any(nbhd & bit and lower & ~nbhd for bit, lower in lower_twins):
+                continue
+            if any(not nbhd & comp for comp in components):
+                continue
+            masks = tuple(
+                (row | new) if nbhd >> v & 1 else row for v, row in enumerate(base)
+            ) + (nbhd,)
+            cert = _certificate(masks, m)
+            if cert not in found:
+                found[cert] = Graph.from_edges(
+                    m, edges + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1]
+                )
+    return tuple(sorted(found.values(), key=canonical_key))
+
+
 def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
     """All graphs (connected or not) on n >= 1 vertices up to isomorphism.
 
-    Level m extends every representative of level m - 1, in order, with
-    each possible neighborhood of a new vertex, keeps the first extension
-    of each isomorphism class (deduplicated by :func:`_certificate`), and
-    sorts the level by :func:`canonical_key`.  Only the previous level is
-    kept alive while the next is built.
+    Built level by level with :func:`_extend`, keeping only the previous
+    level alive while the next is built.  Its twin-packed neighborhoods
+    change neither which labelled graph represents a class nor the order.
     """
     level: tuple[Graph, ...] = (Graph.from_edges(1),)
     for m in range(2, n + 1):
-        new = 1 << (m - 1)
-        found: dict[tuple[int, ...], Graph] = {}
-        for parent in level:
-            base = parent.adj_masks
-            for nbhd in range(new):
-                masks = tuple(
-                    (row | new) if nbhd >> v & 1 else row for v, row in enumerate(base)
-                ) + (nbhd,)
-                cert = _certificate(masks, m)
-                if cert not in found:
-                    found[cert] = Graph.from_edges(
-                        m,
-                        parent.edges() + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1],
-                    )
-        level = tuple(sorted(found.values(), key=canonical_key))
+        level = _extend(level, m, connected=False)
     return level
 
 
@@ -496,12 +531,17 @@ MAX_ENUMERATION_N = 7
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices up to isomorphism, in a fixed order.
 
+    Levels 1..n-1 are built complete (a connected class can first arise from
+    a disconnected parent); level n is built connected-only by
+    :func:`_extend`.  The graphs and their order, hence the graph6 bytes,
+    are those of filtering :func:`_all_graphs_upto_iso` by connectivity.
     Larger corpora are meant to be supplied externally as graph6 files.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    for g in _all_graphs_upto_iso(n):
-        if is_connected(g):
-            yield g
+    if n == 1:
+        yield Graph.from_edges(1)
+    else:
+        yield from _extend(_all_graphs_upto_iso(n - 1), n, connected=True)

@@ -66,7 +66,7 @@ class HuntResult:
     searched: int
     with_witness: int
     counterexample: Optional[Counterexample]
-    skipped: int  # oversized or disconnected, so never checked
+    skipped: int  # empty, oversized or disconnected, so never checked
 
     @property
     def checked(self) -> int:
@@ -211,6 +211,8 @@ PROPERTIES: dict[str, Callable[[_GraphCase], object]] = {
 
 def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, object]]:
     g, prop_ids = args
+    if g.n == 0:  # no property is defined on the empty graph
+        return [(pid, _SKIP) for pid in prop_ids]
     case = _GraphCase(g)
     return [(pid, PROPERTIES[pid](case)) for pid in prop_ids]
 
@@ -281,16 +283,16 @@ def hunt_conjecture(
     eccentricity <= 1; only a hit pays for ``pe_exact``, which fills in the
     value and path reported.  The first hit is re-verified on both sides
     before being reported; finding none leaves the conjectured bound
-    standing on the graphs that were checked.  Oversized and disconnected
-    graphs are counted as skipped.
+    standing on the graphs that were checked.  Empty, oversized and
+    disconnected graphs are counted as skipped.
     """
     searched = 0
     skipped = 0
     with_witness = 0
+    cap = min(eccentricity.MAX_N, star_c1p.MAX_N)
     for g in corpus:
         searched += 1
-        too_big = g.n > min(eccentricity.MAX_N, star_c1p.MAX_N)
-        if too_big or not is_connected(g):
+        if not 0 < g.n <= cap or not is_connected(g):
             skipped += 1
             continue
         witness = find_star_c1p(g)

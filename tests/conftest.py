@@ -302,6 +302,37 @@ def seeded_connected_gnp(n: int, seed: int, p: Optional[float] = None) -> Graph:
             return g
 
 
+# --- reference enumerator ------------------------------------------------------
+
+def reference_extend(level, m: int) -> tuple[Graph, ...]:
+    """The unpruned level step: every graph one new vertex away, up to iso.
+
+    Each parent, in order, gets every neighborhood of the new vertex m - 1
+    in numeric order; the first graph of each isomorphism class (by
+    ``families._certificate``) is kept, and the kept graphs are sorted by
+    ``families.canonical_key``.
+    """
+    from pathecc.families import _certificate, canonical_key
+
+    found: dict[tuple[int, ...], Graph] = {}
+    for parent in level:
+        edges = parent.edges()
+        for nbhd in range(1 << (m - 1)):
+            g = Graph.from_edges(
+                m, edges + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1]
+            )
+            found.setdefault(_certificate(g.adj_masks, m), g)
+    return tuple(sorted(found.values(), key=canonical_key))
+
+
+def reference_all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
+    """All graphs on n >= 1 vertices up to iso, by the unpruned level step."""
+    level: tuple[Graph, ...] = (Graph.from_edges(1),)
+    for m in range(2, n + 1):
+        level = reference_extend(level, m)
+    return level
+
+
 # --- shared corpora -----------------------------------------------------------
 
 @pytest.fixture(scope="session")

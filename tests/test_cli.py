@@ -14,6 +14,7 @@ from pathecc.cli import cli_main
 from pathecc.families import clique, emit_graph6, fig_example_c, subdivided_claw
 from pathecc.graphs import format_edge_list
 from pathecc.pqtree import format_matrix
+from pathecc.suite import PROPERTIES
 from pathecc.families import FIG_A_ADJACENCY
 
 
@@ -298,6 +299,30 @@ def test_skipped_graphs_are_not_violations_with_workers(tmp_path, capsys, monkey
     assert code == 0 and doc["passed"] is True
     (res,) = doc["results"]
     assert res["checked"] == 1 and res["skipped"] == 1 and res["violations"] == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_empty_graph_in_corpus_is_skipped(tmp_path, capsys, monkeypatch, workers):
+    f = tmp_path / "corpus.g6"
+    f.write_text("Bw\n?\n")  # a connected graph, then the 0-vertex graph
+    monkeypatch.setenv("CPK_THREADS", workers)
+    code, doc, _ = run_json(capsys, "suite", str(f), "--props", *sorted(PROPERTIES))
+    assert code == 0 and doc["passed"] is True
+    assert len(doc["results"]) == len(PROPERTIES)
+    for res in doc["results"]:
+        assert res["checked"] == 1 and res["skipped"] == 1 and res["violations"] == []
+    code, doc, err = run_json(capsys, "hunt", str(f))
+    assert code == 0 and doc["searched"] == 2 and doc["counterexample"] is None
+    assert "skipped 1 of 2" in err and len(err.strip().splitlines()) == 1
+
+
+def test_hunt_on_only_empty_graphs_exits_2(tmp_path, capsys):
+    f = tmp_path / "corpus.g6"
+    f.write_text("?\n")
+    code, out, err = run(capsys, "hunt", str(f))
+    assert code == 2 and out == ""
+    assert "checked no graph: all 1" in err and "empty" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # --- fuzzing: malformed input is exit 2 with one stderr line -----------------

@@ -7,7 +7,13 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_strategy, reference_canonical_key
+from conftest import (
+    graph_strategy,
+    reference_all_graphs_upto_iso,
+    reference_canonical_key,
+    reference_extend,
+)
+import pathecc.families as families
 from pathecc.families import (
     FIG_A_ADJACENCY,
     FIG_B_AUGMENTED,
@@ -18,6 +24,7 @@ from pathecc.families import (
     Graph6Error,
     _all_graphs_upto_iso,
     _certificate,
+    _extend,
     canonical_key,
     clique,
     cycle,
@@ -272,6 +279,90 @@ def test_canonical_key_matches_reference_on_every_extension():
 @settings(max_examples=80, deadline=None)
 def test_canonical_key_matches_reference(g):
     assert canonical_key(g) == reference_canonical_key(g)
+
+
+def _g6(graphs):
+    return [emit_graph6(g) for g in graphs]
+
+
+def test_all_graphs_upto_iso_matches_reference_enumerator():
+    for n in range(1, 7):
+        assert _g6(_all_graphs_upto_iso(n)) == _g6(reference_all_graphs_upto_iso(n))
+
+
+def test_enumerate_connected_matches_reference_enumerator():
+    for n in range(1, 8):
+        want = _g6(g for g in reference_all_graphs_upto_iso(n) if is_connected(g))
+        assert _g6(enumerate_connected(n)) == want
+
+
+def _child(parent, nbhd):
+    m = parent.n + 1
+    return Graph.from_edges(
+        m, parent.edges() + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1]
+    )
+
+
+def _twin_packed_image(g, nbhd):
+    """Swap a member x of nbhd for a smaller twin y outside it while one exists."""
+    while True:
+        swap = next(
+            (
+                (1 << x) | (1 << y)
+                for x in range(g.n)
+                if nbhd >> x & 1
+                for y in range(x)
+                if not nbhd >> y & 1 and g.adj[x] - {y} == g.adj[y] - {x}
+            ),
+            0,
+        )
+        if not swap:
+            return nbhd
+        nbhd ^= swap
+
+
+def _seeded_levels(seed, count):
+    """Short lists of seeded random graphs on 1..7 vertices, sparse to dense."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.15, 0.5, 0.85))
+        size = rng.randint(1, 3)
+        yield [random_gnp(n, p, seed=rng.randrange(1 << 30)) for _ in range(size)]
+
+
+def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
+    tried = []
+
+    def recording(masks, m):
+        tried.append(masks[-1])
+        return _certificate(masks, m)
+
+    monkeypatch.setattr(families, "_certificate", recording)
+    skipped = 0
+    for g in (g for level in _seeded_levels(3, 30) for g in level):
+        packed = []
+        for nbhd in range(1 << g.n):
+            image = _twin_packed_image(g, nbhd)
+            if image == nbhd:
+                packed.append(nbhd)
+                continue
+            skipped += 1
+            assert image < nbhd
+            assert _cert(_child(g, nbhd)) == _cert(_child(g, image))
+        tried.clear()
+        _extend([g], g.n + 1, connected=False)
+        assert tried == packed
+    assert skipped > 1000
+
+
+def test_extend_matches_reference_step_and_connected_filter():
+    for level in _seeded_levels(5, 40):
+        m = level[0].n + 1
+        full = _extend(level, m, connected=False)
+        assert _g6(full) == _g6(reference_extend(level, m))
+        want = _g6(g for g in full if is_connected(g))
+        assert _g6(_extend(level, m, connected=True)) == want
 
 
 def _cert(g):
