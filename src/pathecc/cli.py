@@ -50,7 +50,7 @@ def _load_graph(
 
     An edge-list header is checked before the graph is built, n against the
     cap and, since a connected graph has m >= n - 1 edges, n <= m + 1, so
-    a huge header fails fast instead of allocating n vertex sets.
+    a huge header fails fast instead of allocating n adjacency rows.
     """
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
@@ -95,9 +95,12 @@ def _load_corpus(arg: str) -> tuple[list[Graph], str]:
     if os.path.exists(arg):
         graphs = []
         with open(arg, encoding="utf-8") as fh:
-            for ln in fh:
+            for lineno, ln in enumerate(fh, start=1):
                 if ln.strip():
-                    graphs.append(parse_graph6(ln))
+                    try:
+                        graphs.append(parse_graph6(ln))
+                    except ValueError as exc:
+                        raise CliError(f"{arg}:{lineno}: {exc}") from exc
         return graphs, arg
     raise CliError(
         f"corpus {arg!r} is neither a file, 'exhaustive:N', nor 'gen:family:params'"
@@ -325,7 +328,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "hunt":
             graphs, name = _load_corpus(args.corpus)
-            result = hunt_conjecture(graphs, corpus_name=name)
+            result = hunt_conjecture(graphs)
             if result.searched == 0:
                 raise CliError(f"hunt checked no graph: the corpus {name} is empty")
             if result.checked == 0:

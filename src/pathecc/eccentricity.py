@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, _mask_of, _sweep, is_connected, is_path
+from .graphs import Graph, _bits, _mask_of, _sweep, is_connected, is_path
 
 MAX_N = 16
 
@@ -101,10 +101,9 @@ def _first_best_path(
             reach = _sweep(masks, 1 << v, full & ~pmask | 1 << v, -1)[0]
             if _sweep(masks, pmask | reach, full, limit - 1)[0] != full:
                 return False
-            for y in sorted(g.adj[v]):
-                if not pmask & (1 << y):
-                    if extend(y, pmask):
-                        return True
+            for y in _bits(masks[v] & ~pmask):
+                if extend(y, pmask):
+                    return True
             return False
         finally:
             path.pop()

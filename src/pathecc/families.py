@@ -231,12 +231,9 @@ def _g6_encode_number(n: int) -> str:
 def emit_graph6(g: Graph) -> str:
     """Canonical graph6 line for g (no trailing newline, no optional header)."""
     out = [_g6_encode_number(g.n)]
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    # the bits address the pairs (i, j), i < j, in column-major order
+    bits = [row >> i & 1 for j, row in enumerate(g.adj_masks) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
     for pos in range(0, len(bits), 6):
         val = 0
         for b in bits[pos : pos + 6]:
@@ -286,7 +283,7 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"trailing graph6 bytes at byte {offset + body + need}"
         )
-    edges = []
+    masks = [0] * n
     # the bits address the pairs (i, j), i < j, in column-major order
     i, j = 0, 1
     for pos in range(need):
@@ -295,11 +292,12 @@ def parse_graph6(line: str) -> Graph:
             if j >= n:
                 break
             if (group >> shift) & 1:
-                edges.append((i, j))
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(masks))
 
 
 # --- exhaustive enumeration -------------------------------------------------
@@ -495,7 +493,6 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
             comp = _sweep(base, rest & -rest, full, -1)[0]
             components.append(comp)
             rest &= ~comp
-        edges = parent.edges()
         for nbhd in range(new):
             if any(nbhd & bit and lower & ~nbhd for bit, lower in lower_twins):
                 continue
@@ -506,9 +503,7 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
             ) + (nbhd,)
             cert = _certificate(masks, m)
             if cert not in found:
-                found[cert] = Graph.from_edges(
-                    m, edges + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1]
-                )
+                found[cert] = Graph(m, masks)
     return tuple(sorted(found.values(), key=canonical_key))
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -16,51 +15,46 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
-    ``adj[v]`` is the frozen set of neighbors of ``v``.  Symmetry,
-    irreflexivity and index ranges are enforced by :meth:`from_edges`,
-    the only intended constructor.
+    ``adj_masks[v]`` is the neighbor set of ``v`` as a bitmask: bit u is
+    set iff uv is an edge.  :meth:`from_edges` is the only constructor
+    meant for outside callers; it checks index ranges and loops and makes
+    the masks symmetric.  Inside the package, graphs are also built
+    directly from mask tuples that are symmetric by construction.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj_masks: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        sets: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            sets[u].add(v)
-            sets[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in sets))
-
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """``adj_masks[v]`` is the neighbor set of ``v`` as a bitmask.
-
-        Computed on first use and stored on the instance, so it lives and
-        dies with the graph; equality and hashing stay over ``(n, adj)``.
-        """
-        return tuple(sum(1 << u for u in self.adj[v]) for v in range(self.n))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(n, tuple(masks))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(_bits(self.adj_masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return v >= 0 and self.adj_masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [
+            (u, v) for u, row in enumerate(self.adj_masks) for v in _bits(row >> u << u)
+        ]
 
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj_masks) // 2
 
     def with_edge(self, u: int, v: int) -> "Graph":
         return Graph.from_edges(self.n, self.edges() + [(u, v)])
@@ -75,13 +69,13 @@ def _check_vertices(g: Graph, vs: Iterable[int]) -> None:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
-# Bitmask adjacency (Graph.adj_masks) is the hot-path representation: BFS
-# layers become a few integer operations, which matters once the harness
-# grinds through thousands of small graphs.  _sweep is the one reach and
-# distance core: N^k[S], components, eccentricities, farthest and nearest
-# vertices are read off it.  bfs_distances is the public reference map.
-# _shortest_path keeps its own FIFO BFS: its first-discovery parents over
-# sorted neighbours fix which shortest path comes back, and the k-AT and
+# Graph.adj_masks is the one adjacency format: BFS layers become a few
+# integer operations, which matters once the harness grinds through
+# thousands of small graphs.  _sweep is the one reach and distance core:
+# N^k[S], components, eccentricities, farthest and nearest vertices are
+# read off it.  bfs_distances is the public reference map.  _shortest_path
+# keeps its own FIFO BFS: its first-discovery parents, neighbours taken
+# lowest bit first, fix which shortest path comes back, and the k-AT and
 # dichotomy answers pinned by sha256 in the tests are built from them.
 
 def _sweep(
@@ -124,13 +118,14 @@ def _mask_of(vs: Iterable[int]) -> int:
     return m
 
 
-def _mask_to_set(m: int) -> frozenset[int]:
+def _bits(m: int) -> list[int]:
+    """The vertices of the mask m in increasing order."""
     out = []
     while m:
         low = m & -m
         out.append(low.bit_length() - 1)
-        m &= m - 1
-    return frozenset(out)
+        m ^= low
+    return out
 
 
 def bfs_distances(g: Graph, sources: Iterable[int]) -> list[Optional[int]]:
@@ -140,21 +135,18 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[Optional[int]]:
         raise ValueError("bfs_distances requires a nonempty source set")
     _check_vertices(g, src)
     dist: list[Optional[int]] = [None] * g.n
-    frontier = []
-    for s in src:
-        if dist[s] is None:
-            dist[s] = 0
-            frontier.append(s)
+    seen = _mask_of(src)
+    frontier = _bits(seen)
     d = 0
     while frontier:
-        d += 1
-        nxt = []
+        fresh = 0
         for u in frontier:
-            for x in g.adj[u]:
-                if dist[x] is None:
-                    dist[x] = d
-                    nxt.append(x)
-        frontier = nxt
+            dist[u] = d
+            fresh |= g.adj_masks[u]
+        fresh &= ~seen
+        seen |= fresh
+        frontier = _bits(fresh)
+        d += 1
     return dist
 
 
@@ -163,12 +155,14 @@ def _shortest_path(
 ) -> Optional[tuple[int, ...]]:
     """Shortest src-dst path missing every vertex of the avoid mask, or None.
 
-    FIFO BFS over sorted neighbours with first-discovery parents, so the
-    path returned for given endpoints is always the same.
+    FIFO BFS, neighbours lowest bit first, with first-discovery parents,
+    so the path returned for given endpoints is always the same.
     """
     if (avoid >> src | avoid >> dst) & 1:
         return None
+    masks = g.adj_masks
     parent: dict[int, Optional[int]] = {src: None}
+    seen = avoid | 1 << src
     queue = deque([src])
     while queue:
         u = queue.popleft()
@@ -179,10 +173,11 @@ def _shortest_path(
                 out.append(cur)
                 cur = parent[cur]
             return tuple(reversed(out))
-        for x in sorted(g.adj[u]):
-            if not avoid >> x & 1 and x not in parent:
-                parent[x] = u
-                queue.append(x)
+        fresh = masks[u] & ~seen
+        seen |= fresh
+        for x in _bits(fresh):
+            parent[x] = u
+            queue.append(x)
     return None
 
 
@@ -192,7 +187,7 @@ def neighborhood_k(g: Graph, sources: Iterable[int], k: int) -> frozenset[int]:
         raise ValueError(f"k must be nonnegative, got {k}")
     src = list(sources)
     _check_vertices(g, src)
-    return _mask_to_set(_grow_mask(g, _mask_of(src), k))
+    return frozenset(_bits(_grow_mask(g, _mask_of(src), k)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, induced_paths
+from .graphs import Graph, _bits, induced_paths
 from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, pq_reduce
 
 MAX_N = 20
@@ -36,7 +36,7 @@ def partially_augmented_matrix(g: Graph, diagonal: Iterable[int] = ()) -> Binary
             raise ValueError(f"diagonal vertex {v} out of range")
     rows = []
     for i in range(g.n):
-        row = [1 if j in g.adj[i] else 0 for j in range(g.n)]
+        row = [g.adj_masks[i] >> j & 1 for j in range(g.n)]
         if i in diag:
             row[i] = 1
         rows.append(tuple(row))
@@ -56,7 +56,7 @@ def _rank_rows(g: Graph, w: OrderingWitness) -> list[int]:
     _check_mu(g, w)
     rows = [0] * g.n
     for v, r in enumerate(w.mu):
-        rows[r] = sum(1 << w.mu[u] for u in g.adj[v])
+        rows[r] = sum(1 << w.mu[u] for u in _bits(g.adj_masks[v]))
     return rows
 
 
@@ -110,13 +110,13 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     def assign(v: int, tree: PQTree) -> Optional[PQTree]:
         if v == n:
             return tree
-        nb = g.adj[v]
-        for bit in (False, True) if len(nb) > 1 else (False,):
-            column = nb | {v} if bit else nb
-            if len(column) in (0, 1, n):
+        nb = g.adj_masks[v]
+        for bit in (False, True) if nb & (nb - 1) else (False,):
+            column = nb | 1 << v if bit else nb
+            if column.bit_count() in (0, 1, n):
                 next_tree: Optional[PQTree] = tree  # vacuously consecutive
             else:
-                next_tree = pq_reduce(tree, column)
+                next_tree = pq_reduce(tree, _bits(column))
                 if next_tree is None:
                     continue
             bits.append(bit)

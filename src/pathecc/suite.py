@@ -274,9 +274,7 @@ def run_property_suite(
     return PropertyReport(corpus_name, results, time.monotonic() - start)
 
 
-def hunt_conjecture(
-    corpus: Iterable[Graph], corpus_name: str = "corpus"
-) -> HuntResult:
+def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
     """Look for a connected graph with an ordering witness yet pe >= 2.
 
     Each witnessed graph is decided by the early-exit search for a path of

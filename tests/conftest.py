@@ -7,6 +7,7 @@ implementations are checked against slow-but-obvious ones.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 from typing import Optional
 
@@ -33,7 +34,7 @@ def graph_strategy(min_n: int = 1, max_n: int = 7, connected: bool = False):
             frontier = [0]
             while frontier:
                 u = frontier.pop()
-                for x in g.adj[u]:
+                for x in g.neighbors(u):
                     if x not in comp:
                         comp.add(x)
                         frontier.append(x)
@@ -88,9 +89,35 @@ def all_simple_paths(g: Graph):
             path = stack.pop()
             if path[0] <= path[-1]:
                 yield path
-            for x in sorted(g.adj[path[-1]], reverse=True):
+            for x in sorted(g.neighbors(path[-1]), reverse=True):
                 if x not in path:
                     stack.append(path + (x,))
+
+
+def reference_shortest_path(g: Graph, src: int, dst: int, avoid: int = 0):
+    """Shortest src-dst path missing the avoid mask, by FIFO BFS on sets.
+
+    Neighbours are visited in sorted order and each vertex keeps its first
+    discoverer as parent, which fixes the path returned.
+    """
+    if (avoid >> src | avoid >> dst) & 1:
+        return None
+    parent: dict[int, Optional[int]] = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            out = []
+            cur: Optional[int] = dst
+            while cur is not None:
+                out.append(cur)
+                cur = parent[cur]
+            return tuple(reversed(out))
+        for x in sorted(g.neighbors(u)):
+            if not avoid >> x & 1 and x not in parent:
+                parent[x] = u
+                queue.append(x)
+    return None
 
 
 def path_ecc_oracle(g: Graph, path) -> int:
@@ -124,7 +151,7 @@ def brute_induced_cycles(g: Graph, min_len: int):
             inside = set(vs)
             while frontier:
                 u = frontier.pop()
-                for x in g.adj[u]:
+                for x in g.neighbors(u):
                     if x in inside and x not in seen:
                         seen.add(x)
                         frontier.append(x)
@@ -146,7 +173,7 @@ def brute_has_kat(g: Graph, k: int) -> bool:
             u = frontier.pop()
             if u == y:
                 return True
-            for t in g.adj[u]:
+            for t in g.neighbors(u):
                 if t not in forb and t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -183,7 +210,7 @@ def reference_min_k_at_free(g: Graph) -> int:
 
 def closed_neighborhood(g: Graph, p) -> set[int]:
     """N[p]: the path's vertices and all their neighbors."""
-    return set(p).union(*(g.adj[y] for y in p))
+    return set(p).union(*(g.neighbors(y) for y in p))
 
 
 def reference_order_lemma(g: Graph, w, p) -> bool:
@@ -224,8 +251,8 @@ def reference_path_neighborhood(g: Graph, w, p, x: int) -> bool:
     one's starts after it.
     """
     ru, rv, rx = w.mu[p[0]], w.mu[p[-1]], w.mu[x]
-    u_ranks = [w.mu[y] for y in g.adj[p[0]]]
-    v_ranks = [w.mu[y] for y in g.adj[p[-1]]]
+    u_ranks = [w.mu[y] for y in g.neighbors(p[0])]
+    v_ranks = [w.mu[y] for y in g.neighbors(p[-1])]
     if rx > ru and rx > rv:
         return max(u_ranks) <= rx and max(v_ranks) <= rx
     if rx < ru and rx < rv:
@@ -249,7 +276,6 @@ def reference_canonical_key(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n == 0:
         return ()
-    adj = g.adj
     best: Optional[list[int]] = None
 
     def extend(placed: list[int], used: set[int], prefix: list[int]) -> None:
@@ -264,7 +290,7 @@ def reference_canonical_key(g: Graph) -> tuple[int, ...]:
             if x in used:
                 continue
             word = 0
-            ax = adj[x]
+            ax = g.neighbors(x)
             for y in placed:
                 word = (word << 1) | (1 if y in ax else 0)
             scored.append((word, x))

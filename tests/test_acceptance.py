@@ -130,7 +130,7 @@ def test_criterion_4_corollary_exhaustive(corpus_structural, star_map):
 
 
 def test_criterion_5_conjecture_hunt(corpus_structural, star_map):
-    result = hunt_conjecture(corpus_structural, corpus_name="exhaustive:<=7")
+    result = hunt_conjecture(corpus_structural)
     violations = []
     if result.counterexample is not None:
         ce = result.counterexample

@@ -213,6 +213,17 @@ def test_malformed_corpus_spec_names_the_spec(capsys, command, spec):
     assert err.startswith(f"pathecc: corpus {spec!r}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["hunt", "suite"])
+def test_corpus_parse_error_names_file_and_line(tmp_path, capsys, command):
+    f = tmp_path / "corpus.g6"
+    f.write_text("Bw\n\nxx\n")  # file line 3 is truncated graph6
+    extra = ["--props", "theorem4"] if command == "suite" else []
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert code == 2 and out == ""
+    assert err == (f"pathecc: {f}:3: truncated graph6 payload at byte 2: "
+                   f"need 266 bytes, have 1\n")
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

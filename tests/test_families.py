@@ -312,7 +312,7 @@ def _twin_packed_image(g, nbhd):
                 for x in range(g.n)
                 if nbhd >> x & 1
                 for y in range(x)
-                if not nbhd >> y & 1 and g.adj[x] - {y} == g.adj[y] - {x}
+                if not nbhd >> y & 1 and g.neighbors(x) - {y} == g.neighbors(y) - {x}
             ),
             0,
         )

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_simple_paths, brute_induced_cycles, graph_strategy
+from conftest import (
+    all_simple_paths,
+    brute_induced_cycles,
+    graph_strategy,
+    reference_shortest_path,
+)
 from pathecc.eccentricity import pe_exact
 from pathecc.families import cycle, fig_example_a, fig_example_c, ladder_k4, path_graph
 from pathecc.graphs import (
     Graph,
     _mask_of,
+    _shortest_path,
     _sweep,
     bfs_distances,
     find_long_induced_cycle,
@@ -84,7 +90,7 @@ def test_neighborhood_k_monotone(g, k):
 @given(graph_strategy(max_n=6))
 def test_neighborhood_1_is_closed_neighborhood(g):
     s = {0}
-    expected = s | set(g.adj[0])
+    expected = s | set(g.neighbors(0))
     assert neighborhood_k(g, s, 1) == frozenset(expected)
 
 
@@ -239,4 +245,41 @@ def test_adjacency_masks_leave_equality_and_hash_alone():
     g, h = cycle(5), cycle(5)
     assert g.adj_masks == (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
     assert g == h and hash(g) == hash(h)
-    assert "adj_masks" in vars(g) and "adj_masks" not in vars(h)
+
+
+_edge_lists = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+    )
+)
+
+
+@given(_edge_lists)
+def test_accessors_agree_with_the_edge_set(case):
+    n, pairs = case
+    pairs = [(u, v) for u, v in pairs if u != v]
+    g = Graph.from_edges(n, pairs + [(v, u) for u, v in pairs])  # each edge twice
+    want = {(min(u, v), max(u, v)) for u, v in pairs}
+    assert g.edges() == sorted(want) and g.num_edges() == len(want)
+    for u in range(n):
+        nbrs = {v for v in range(n) if (min(u, v), max(u, v)) in want}
+        assert g.neighbors(u) == frozenset(nbrs) and g.degree(u) == len(nbrs)
+        assert all(g.has_edge(u, v) == (v in nbrs) for v in range(n))
+        assert g.has_edge(u, -1) is False and g.has_edge(u, n) is False
+    assert Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)]).edges() == [(0, 1)]
+
+
+@given(graph_strategy(max_n=9), st.data())
+@settings(max_examples=150)
+def test_shortest_path_matches_set_based_reference(g, data):
+    avoid = data.draw(st.integers(0, (1 << g.n) - 1))
+    for src in range(g.n):
+        dist = bfs_distances(g, {src})
+        for dst in range(g.n):
+            got = _shortest_path(g, src, dst, avoid)
+            assert got == reference_shortest_path(g, src, dst, avoid)
+            free = _shortest_path(g, src, dst)
+            assert free == reference_shortest_path(g, src, dst)
+            assert (free is None) == (dist[dst] is None)
+            assert free is None or len(free) - 1 == dist[dst]

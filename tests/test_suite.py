@@ -128,7 +128,7 @@ def test_rank_lemma_properties_name_the_first_failure():
 
 def test_hunt_small_corpora_find_nothing():
     corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
-    result = hunt_conjecture(corpus, corpus_name="exhaustive:<=5")
+    result = hunt_conjecture(corpus)
     assert result.counterexample is None
     assert result.searched == len(corpus)
     assert 0 < result.with_witness < len(corpus)
