@@ -77,13 +77,13 @@ def _load_graph(
         raise CliError(f"not a file and not a graph6 line: {arg!r} ({exc})") from exc
 
 
-def _load_corpus(arg: str) -> tuple[list[Graph], str]:
+def _load_corpus(arg: str) -> list[Graph]:
     if arg.startswith("exhaustive:"):
         try:
             n = int(arg.split(":", 1)[1])
         except ValueError:
             raise CliError(f"corpus {arg!r}: N in 'exhaustive:N' must be an integer") from None
-        return list(enumerate_connected(n)), arg
+        return list(enumerate_connected(n))
     if arg.startswith("gen:"):
         parts = arg.split(":")
         try:
@@ -91,7 +91,7 @@ def _load_corpus(arg: str) -> tuple[list[Graph], str]:
         except ValueError:
             raise CliError(f"corpus {arg!r}: the params in 'gen:family:params' "
                            f"must be numbers") from None
-        return [generate(FamilySpec(parts[1], params))], arg
+        return [generate(FamilySpec(parts[1], params))]
     if os.path.exists(arg):
         graphs = []
         with open(arg, encoding="utf-8") as fh:
@@ -101,7 +101,7 @@ def _load_corpus(arg: str) -> tuple[list[Graph], str]:
                         graphs.append(parse_graph6(ln))
                     except ValueError as exc:
                         raise CliError(f"{arg}:{lineno}: {exc}") from exc
-        return graphs, arg
+        return graphs
     raise CliError(
         f"corpus {arg!r} is neither a file, 'exhaustive:N', nor 'gen:family:params'"
     )
@@ -321,19 +321,18 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "suite":
-            graphs, name = _load_corpus(args.corpus)
-            report = run_property_suite(graphs, args.props, corpus_name=name)
+            graphs = _load_corpus(args.corpus)
+            report = run_property_suite(graphs, args.props, corpus_name=args.corpus)
             _emit(_report_json(report))
             return 0 if report.passed else 1
 
         if args.command == "hunt":
-            graphs, name = _load_corpus(args.corpus)
-            result = hunt_conjecture(graphs)
+            result = hunt_conjecture(_load_corpus(args.corpus))
             if result.searched == 0:
-                raise CliError(f"hunt checked no graph: the corpus {name} is empty")
+                raise CliError(f"hunt checked no graph: the corpus {args.corpus} is empty")
             if result.checked == 0:
                 raise CliError(
-                    f"hunt checked no graph: all {result.searched} in {name} are "
+                    f"hunt checked no graph: all {result.searched} in {args.corpus} are "
                     f"empty, oversized or disconnected"
                 )
             if result.skipped:
@@ -343,7 +342,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             _emit({
                 "schema": SCHEMA,
                 "command": "hunt",
-                "corpus": name,
+                "corpus": args.corpus,
                 "searched": result.searched,
                 "with_witness": result.with_witness,
                 "counterexample": None if ce is None else {

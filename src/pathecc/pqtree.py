@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
+from .graphs import _bits
+
 
 @dataclass(frozen=True)
 class BinaryMatrix:
@@ -41,9 +43,6 @@ class BinaryMatrix:
                 raise ValueError("matrix entries must be 0 or 1")
             out.append(tuple(int(x) for x in r))
         return cls(len(out), width, tuple(out))
-
-    def column_ones(self, j: int) -> frozenset[int]:
-        return frozenset(i for i in range(self.rows) if self.bits[i][j])
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
@@ -233,61 +232,66 @@ def _reduce_node(node: Node, s: int) -> Optional[Node]:
     return _arrange(node, s, True)  # type: ignore[return-value]
 
 
-def pq_reduce(t: PQTree, s: Iterable[int]) -> Optional[PQTree]:
-    """Constrain the tree so the rows of s are consecutive in every frontier.
+def pq_reduce(t: PQTree, s: int) -> Optional[PQTree]:
+    """Constrain the tree so the rows of the mask s are consecutive in every frontier.
 
-    Returns the reduced tree, or None when no frontier of t keeps s
-    consecutive.  The input tree is never modified.
+    Bit r of s stands for row r.  Returns the reduced tree, or None when no
+    frontier of t keeps s consecutive.  A one-row or all-row mask is
+    consecutive in every frontier, so t itself comes back.  The input tree
+    is never modified.
     """
     leaves = t.root.leaves
-    ss = 0
-    unknown = set()
-    for r in s:
-        if r < 0 or not leaves >> r & 1:
-            unknown.add(r)
-        else:
-            ss |= 1 << r
-    if unknown:
-        raise ValueError(f"unknown rows in constraint: {sorted(unknown)}")
-    if not ss:
-        raise ValueError("cannot reduce by an empty row set")
-    root = _reduce_node(t.root, ss)
+    if s <= 0:
+        raise ValueError(f"cannot reduce by an empty or negative row mask {s}")
+    if s & ~leaves:
+        raise ValueError(f"unknown rows in constraint: {_bits(s & ~leaves)}")
+    if s & (s - 1) == 0 or s == leaves:
+        return t
+    root = _reduce_node(t.root, s)
     return None if root is None else PQTree(root)
 
 
 # --- consecutive ones -----------------------------------------------------
 
-def _columns(m: BinaryMatrix) -> list[tuple[int, ...]]:
-    """Each column's 1-rows, read in one transpose of the matrix."""
+def _columns(m: BinaryMatrix) -> list[int]:
+    """Each column's 1-rows as a mask, read in one transpose of the matrix."""
     rows = range(m.rows)
-    return [tuple(compress(rows, col)) for col in zip(*m.bits)]
+    return [sum(1 << r for r in compress(rows, col)) for col in zip(*m.bits)]
 
 
-def _all_blocks(columns: Iterable[Iterable[int]], perm: Sequence[int]) -> bool:
-    pos = {r: i for i, r in enumerate(perm)}
-    for ones in columns:
-        where = [pos[r] for r in ones]
-        if where and max(where) - min(where) + 1 != len(where):
-            return False
-    return True
+def _is_run(mask: int) -> bool:
+    """True iff the set bits of mask are contiguous; 0 counts as a run."""
+    # adding its lowest one to a contiguous run of ones clears the whole run
+    return mask & (mask + (mask & -mask)) == 0
+
+
+def _all_blocks(columns: Iterable[int], perm: Sequence[int]) -> bool:
+    at = [0] * len(perm)  # at[r] is the position bit of row r
+    for i, r in enumerate(perm):
+        at[r] = 1 << i
+    return all(_is_run(sum(at[r] for r in _bits(ones))) for ones in columns)
 
 
 def is_c1p_order(m: BinaryMatrix, perm: Sequence[int]) -> bool:
-    """True iff placing row perm[i] at position i makes every column's 1s a block."""
+    """True iff placing row perm[i] at position i makes every column's 1s a block.
+
+    Raises ValueError unless perm is a permutation of range(m.rows).
+    """
+    if sorted(perm) != list(range(m.rows)):
+        raise ValueError(f"perm must be a permutation of range({m.rows})")
     return _all_blocks(_columns(m), perm)
 
 
 def has_c1p(m: BinaryMatrix) -> Optional[tuple[int, ...]]:
     """A row permutation witnessing the consecutive ones property, or None.
 
-    Builds the universal tree and reduces by each column's 1-set, widest
-    columns first so infeasible instances fail fast.  Columns with 0, 1 or
-    all rows are consecutive in every order and skipped.
+    Builds the universal tree and reduces by each nonempty column's 1-set,
+    widest columns first so infeasible instances fail fast.
     """
     tree = PQTree.universal(m.rows)
     columns = _columns(m)
-    for ones in sorted(columns, key=len, reverse=True):
-        if len(ones) in (0, 1, m.rows):
+    for ones in sorted(columns, key=int.bit_count, reverse=True):
+        if not ones:
             continue
         reduced = pq_reduce(tree, ones)
         if reduced is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import Graph, _bits, induced_paths
-from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, pq_reduce
+from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, _is_run, pq_reduce
 
 MAX_N = 20
 
@@ -65,8 +65,7 @@ def verify_witness(g: Graph, w: OrderingWitness) -> bool:
     rows = _rank_rows(g, w)
     for v in w.diagonal:
         rows[w.mu[v]] |= 1 << w.mu[v]
-    # adding its lowest one to a contiguous run of ones clears the whole run
-    return all(r & (r + (r & -r)) == 0 for r in rows)
+    return all(map(_is_run, rows))
 
 
 def _lex_min_frontier(node: Node) -> tuple[int, ...]:
@@ -90,8 +89,9 @@ def _lex_min_frontier(node: Node) -> tuple[int, ...]:
 def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     """Search all diagonal assignments for a consecutivity witness.
 
-    Diagonal bits are decided in vertex order; each decision reduces the
-    shared PQ-tree by that vertex's column, and a failed reduction prunes
+    Diagonal bits are decided in vertex order, the open column before the
+    closed one, depth first.  A branch reduces the PQ-tree it inherits by
+    its vertex's column when it is taken up, and a failed reduction prunes
     the whole assignment subtree.  Disconnected inputs are fine.  Among the
     orders the final tree admits, the lexicographically smallest frontier
     is reported, reversed if that places vertex 0 in the upper half.
@@ -103,42 +103,33 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     n = g.n
     if n == 1:
         return OrderingWitness((0,), frozenset())
-    bits: list[bool] = []
-
-    # With |N(v)| <= 1 the open column is vacuous, so the closed one can only
-    # constrain the tree further: once False fails, True fails too.
-    def assign(v: int, tree: PQTree) -> Optional[PQTree]:
+    # (vertices decided, tree before the last one's column, diagonal, column);
+    # the start has decided nothing and has no column to reduce by
+    stack = [(0, PQTree.universal(n), 0, 0)]
+    while stack:
+        v, tree, diag, column = stack.pop()
+        if column:  # an isolated vertex's open column is empty
+            reduced = pq_reduce(tree, column)
+            if reduced is None:
+                continue
+            tree = reduced
         if v == n:
-            return tree
+            break
         nb = g.adj_masks[v]
-        for bit in (False, True) if nb & (nb - 1) else (False,):
-            column = nb | 1 << v if bit else nb
-            if column.bit_count() in (0, 1, n):
-                next_tree: Optional[PQTree] = tree  # vacuously consecutive
-            else:
-                next_tree = pq_reduce(tree, _bits(column))
-                if next_tree is None:
-                    continue
-            bits.append(bit)
-            final = assign(v + 1, next_tree)
-            if final is not None:
-                return final
-            bits.pop()
+        # With |N(v)| <= 1 the open column is vacuous, so the closed one can
+        # only constrain the tree further: once open fails, closed fails too.
+        if nb & (nb - 1):
+            stack.append((v + 1, tree, diag | 1 << v, nb | 1 << v))
+        stack.append((v + 1, tree, diag, nb))
+    else:
         return None
-
-    try:
-        final = assign(0, PQTree.universal(n))
-    finally:
-        del assign  # break the closure's self-reference: g and the trees die here
-    if final is None:
-        return None
-    order = _lex_min_frontier(final.root)
+    order = _lex_min_frontier(tree.root)
     if order.index(0) * 2 > n - 1:
         order = tuple(reversed(order))
     mu = [0] * n
     for rank, v in enumerate(order):
         mu[v] = rank
-    witness = OrderingWitness(tuple(mu), frozenset(v for v, b in enumerate(bits) if b))
+    witness = OrderingWitness(tuple(mu), frozenset(_bits(diag)))
     assert verify_witness(g, witness)
     return witness
 

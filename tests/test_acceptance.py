@@ -178,7 +178,7 @@ def test_criterion_7_c1p_oracle_equivalence():
     perms = {r: list(permutations(range(r))) for r in range(1, 8)}
 
     def brute(m: BinaryMatrix) -> bool:
-        cols = [m.column_ones(j) for j in range(m.cols)]
+        cols = [[r for r in range(m.rows) if m.bits[r][j]] for j in range(m.cols)]
         for perm in perms[m.rows]:
             pos = {r: i for i, r in enumerate(perm)}
             ok = True

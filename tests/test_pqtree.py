@@ -61,6 +61,10 @@ def perms_with_consecutive(rows: int, constraints) -> set[tuple[int, ...]]:
     return out
 
 
+def mask(rows) -> int:
+    return sum(1 << r for r in rows)
+
+
 def test_universal_tree():
     t = PQTree.universal(4)
     assert frontier(t) == (0, 1, 2, 3)
@@ -73,39 +77,46 @@ def test_universal_tree():
 
 def test_reduce_full_set_keeps_everything():
     t = PQTree.universal(5)
-    t2 = pq_reduce(t, set(range(5)))
+    t2 = pq_reduce(t, 0b11111)
     assert t2 is not None
     assert all_frontiers(t2) == all_frontiers(t)
 
 
 def test_reduce_two_overlapping_pairs():
     t = PQTree.universal(3)
-    t = pq_reduce(t, {0, 1})
+    t = pq_reduce(t, 0b011)
     assert t is not None
-    t = pq_reduce(t, {1, 2})
+    t = pq_reduce(t, 0b110)
     assert t is not None
     assert all_frontiers(t) == {(0, 1, 2), (2, 1, 0)}
 
 
 def test_reduce_chain_then_contradiction():
     t = PQTree.universal(4)
-    for s in ({0, 1}, {2, 3}, {1, 2}):
+    for s in (0b0011, 0b1100, 0b0110):
         t = pq_reduce(t, s)
         assert t is not None
     assert all_frontiers(t) == {(0, 1, 2, 3), (3, 2, 1, 0)}
-    assert pq_reduce(t, {0, 2}) is None
+    assert pq_reduce(t, 0b0101) is None
 
 
 def test_reduce_errors():
     t = PQTree.universal(3)
-    with pytest.raises(ValueError, match="empty row set"):
-        pq_reduce(t, set())
+    with pytest.raises(ValueError, match="empty or negative row mask 0"):
+        pq_reduce(t, 0)
+    with pytest.raises(ValueError, match="empty or negative row mask -3"):
+        pq_reduce(t, -3)
     with pytest.raises(ValueError, match=r"unknown rows in constraint: \[3, 7\]"):
-        pq_reduce(t, {0, 7, 3})
-    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[-2, -1\]"):
-        pq_reduce(t, [-1, 0, -2, -1])
-    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[-1\]"):
-        pq_reduce(t, {-1})
+        pq_reduce(t, mask({0, 7, 3}))
+    with pytest.raises(ValueError, match=r"unknown rows in constraint: \[3\]"):
+        pq_reduce(t, 0b1000)
+
+
+def test_one_row_and_all_row_masks_return_the_tree_itself():
+    t = pq_reduce(PQTree.universal(4), 0b0011)
+    assert t is not None
+    for s in (0b0001, 0b0100, 0b1000, 0b1111):
+        assert pq_reduce(t, s) is t
 
 
 @given(
@@ -121,7 +132,7 @@ def test_reduce_matches_permutation_filter(rows, raw_constraints):
     for s in constraints:
         applied.append(s)
         expected = perms_with_consecutive(rows, applied)
-        t = pq_reduce(t, s)
+        t = pq_reduce(t, mask(s))
         if t is None:
             assert expected == set()
             return
@@ -136,6 +147,16 @@ def test_has_c1p_fig_matrices():
     assert is_c1p_order(FIG_A_ADJACENCY, range(6))
     assert is_c1p_order(FIG_B_AUGMENTED, range(6))
     assert is_c1p_order(FIG_C_PARTIAL, range(6))
+
+
+def test_is_c1p_order_rejects_a_non_permutation():
+    # rows 0 and 2 share the column, row 1 is in no column
+    m = BinaryMatrix.from_rows([[1], [0], [1]])
+    assert is_c1p_order(m, [0, 2, 1])
+    assert not is_c1p_order(m, [0, 1, 2])
+    for perm in ([0, 2], [0, 2, 1, 9], [0, 2, 2], [0, 2, 3], [1, 2, -1]):
+        with pytest.raises(ValueError, match=r"permutation of range\(3\)"):
+            is_c1p_order(m, perm)
 
 
 def test_has_c1p_identity_matrix():
@@ -211,7 +232,7 @@ def _seeded_reductions():
                     s = hidden[i:j]
                 else:
                     s = rng.sample(range(n), rng.randrange(1, n + 1))
-                reduced = pq_reduce(t, s)
+                reduced = pq_reduce(t, mask(s))
                 out.append(None if reduced is None else frontier(reduced))
                 if reduced is not None:
                     t = reduced

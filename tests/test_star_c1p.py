@@ -24,6 +24,7 @@ from pathecc.families import (
     ladder_k4,
     ladder_k4_diagonal,
     path_graph,
+    random_gnp,
     subdivided_claw,
 )
 from pathecc.graphs import Graph, find_long_induced_cycle, induced_paths
@@ -113,14 +114,34 @@ def test_no_graph_outlives_the_search():
 STAR_ANSWERS_SHA256 = "cfafa1d09d6d2e38391edd437859026145cf3ccf26a940dd07e4b56b49915227"
 
 
-def test_star_c1p_answers_are_pinned():
+def _answers_sha256(graphs) -> tuple[int, str]:
+    """Graph count and sha256 of one (graph6, answer) repr per graph."""
     lines = []
-    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+    for g in graphs:
         w = find_star_c1p(g)
         answer = None if w is None else (w.mu, sorted(w.diagonal))
         lines.append(repr((emit_graph6(g), answer)))
-    assert len(lines) == 996
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STAR_ANSWERS_SHA256
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_star_c1p_answers_are_pinned():
+    graphs = (g for n in range(1, 8) for g in enumerate_connected(n))
+    assert _answers_sha256(graphs) == (996, STAR_ANSWERS_SHA256)
+
+
+# the same digest over seeded G(n, p) graphs past the exhaustive corpus,
+# connected or not: 308 of the 720 have a witness, 54 with a nonempty diagonal
+GNP_ANSWERS_SHA256 = "cbd0d06facc8543814b14e8a7d2a24b1ae045760e4f1368fd408d3be3d92f5af"
+
+
+def test_star_c1p_answers_on_larger_random_graphs_are_pinned():
+    graphs = (
+        random_gnp(n, p, seed)
+        for n in range(8, 17)
+        for p in (0.1, 0.15, 0.2, 0.3)
+        for seed in range(20)
+    )
+    assert _answers_sha256(graphs) == (720, GNP_ANSWERS_SHA256)
 
 
 def test_find_star_c1p_deterministic():
