@@ -5,18 +5,20 @@ the input untouched, so backtracking searches can keep whole stacks of
 trees and share structure for free.  The reduction applies the
 Booth-Lueker templates (L1, P1-P6, Q1-Q3) in one recursive pass that
 serves the pertinent root and the partial nodes below it alike, instead
-of the amortized bubble-up bookkeeping; at the matrix sizes this library
-handles, clarity wins over the linear-time constant.
+of the amortized bubble-up bookkeeping.  Each node's scan stops as soon as
+the children that meet the constraint cover it, and the children around
+them are carried over as untouched slices, so a reduction reads the
+touched children and those before the first of them, not whole nodes.
 
 Each node stores its leaf set as an ``int`` mask, bit r standing for row r,
 so a reduction tests a child for empty, full or partial with two bit
-operations and a parent's leaf set is the OR of its children's.
+operations, and a rebuilt node takes its leaf set from the node it
+replaces or from the masks the scan has already seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import _bits
@@ -57,6 +59,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
         r, c = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ValueError(f"bad matrix header {lines[0]!r}") from exc
+    if r < 1 or c < 1:
+        raise ValueError("matrix must have at least one row and one column")
     if len(lines) - 1 != r:
         raise ValueError(f"expected {r} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -97,26 +101,19 @@ class QNode:
 Node = Union[Leaf, PNode, QNode]
 
 
-def _union_leaves(children: Sequence[Node]) -> int:
-    out = 0
-    for c in children:
-        out |= c.leaves
-    return out
-
-
-def _p(children: Sequence[Node]) -> Node:
+def _p(children: Sequence[Node], leaves: int) -> Node:
     if len(children) == 1:
         return children[0]
-    return PNode(tuple(children), _union_leaves(children))
+    return PNode(tuple(children), leaves)
 
 
-def _q(children: Sequence[Node]) -> Node:
+def _q(children: Sequence[Node], leaves: int) -> Node:
     if len(children) == 1:
         return children[0]
     if len(children) == 2:
         # a two-child Q allows exactly the same two frontiers as a P
-        return PNode(tuple(children), _union_leaves(children))
-    return QNode(tuple(children), _union_leaves(children))
+        return PNode(tuple(children), leaves)
+    return QNode(tuple(children), leaves)
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class PQTree:
     def universal(cls, rows: int) -> "PQTree":
         if rows < 1:
             raise ValueError("a PQ-tree needs at least one leaf")
-        return cls(_p([Leaf(i, 1 << i) for i in range(rows)]))
+        return cls(_p([Leaf(i, 1 << i) for i in range(rows)], (1 << rows) - 1))
 
 
 def frontier(t: PQTree) -> tuple[int, ...]:
@@ -150,86 +147,94 @@ def frontier(t: PQTree) -> tuple[int, ...]:
 # --- reduction ------------------------------------------------------------
 #
 # One template pass serves the pertinent root and every partial node below
-# it.  _arrange sorts a partial node's children into empty ones (leaves
-# outside s) and full ones (leaves inside s), both kept as they are
-# (templates L1, P1, Q1), and partial ones, arranged recursively; then
+# it.  _reduce scans a node's children only until the ones that meet s
+# cover s, so the children before the first of them and after the last are
+# empty (leaves outside s) and carried over as untouched slices.  The run
+# in between holds empty and full children (leaves inside s), both kept as
+# they are (templates L1, P1, Q1), and partial ones, arranged recursively
+# on their share of s; then
 #   P-node  partial children meet around the bundled full block:
 #           mid = partial0 + (P(full),) + reversed(partial1)
 #           below the root (at most 1 partial): P(empty) + mid  (P3, P5)
 #           at the root (at most 2 partials):  P(empty..., Q(mid))  (P2, P4, P6)
-#   Q-node  children read e* [p] f* [p-reversed e*], the bracketed tail only
-#           at the root (Q3); below it the scan also runs right to left (Q2)
+#           with the empty children in their stored order
+#   Q-node  the run reads [p] f* [p-reversed], so an empty child in it is a
+#           gap; the bracketed tail only at the root (Q3); below it the run
+#           must end the node, read left to right or else right to left (Q2)
 # Below the root the result is the node's partial child sequence, empty
 # leaves at the left end and full leaves at the right end; at the root it
-# is the replacement node.  None means s cannot be made consecutive.
+# is the replacement node, over the node's own leaf set.  None means s
+# cannot be made consecutive.
 
 
-def _arrange(node: Node, s: int, root: bool) -> Optional[Union[tuple, Node]]:
-    subs: list[tuple[str, object]] = []
-    for c in node.children:  # type: ignore[union-attr]
+def _reduce(node: Node, s: int, root: bool) -> Optional[Union[tuple, Node]]:
+    # s is a nonempty proper subset of node.leaves
+    kids = node.children  # type: ignore[union-attr]
+    i = 0
+    while not kids[i].leaves & s:
+        i += 1
+    c = kids[i]
+    if root and c.leaves & s == s:
+        # descend while one child wholly contains the constraint
+        c2 = c if c.leaves == s else _reduce(c, s, True)
+        if c2 is None:
+            return None
+        return type(node)(kids[:i] + (c2,) + kids[i + 1 :], node.leaves)  # type: ignore[call-arg]
+    run: list[tuple[str, object]] = []
+    rest, parted, j = s, 0, i  # parted: the partial children's leaves
+    while rest:
+        c = kids[j]
+        j += 1
         lv = c.leaves
-        if not lv & s:
-            subs.append(("e", c))
-        elif lv & s == lv:
-            subs.append(("f", c))
+        m = lv & rest
+        if not m:
+            run.append(("e", c))
+        elif m == lv:
+            run.append(("f", c))
         else:
-            seq = _arrange(c, s, False)
+            seq = _reduce(c, m, False)
             if seq is None:
                 return None
-            subs.append(("p", seq))
+            run.append(("p", seq))
+            parted |= lv
+        rest ^= m
 
     if isinstance(node, PNode):
-        empty = [n for t, n in subs if t == "e"]
-        full = [n for t, n in subs if t == "f"]
-        parts = [p for t, p in subs if t == "p"]
+        empty = kids[:i] + tuple([n for t, n in run if t == "e"]) + kids[j:]
+        full = [n for t, n in run if t == "f"]
+        parts = [p for t, p in run if t == "p"]
         if len(parts) > (2 if root else 1):
             return None
         mid = (
             (parts[0] if parts else ())
-            + ((_p(full),) if full else ())
+            + ((_p(full, s & ~parted),) if full else ())
             + (parts[1][::-1] if len(parts) == 2 else ())  # type: ignore[index]
         )
         if root:
-            return _p(tuple(empty) + (_q(mid),))
-        return ((_p(empty),) if empty else ()) + mid
+            return _p(empty + (_q(mid, s | parted),), node.leaves)
+        return ((_p(empty, node.leaves & ~(s | parted)),) if empty else ()) + mid
 
-    for ordered in (subs,) if root else (subs, subs[::-1]):
-        out: list[Node] = []
-        state = 0  # 0 leading empties, 1 full block, 2 trailing empties
-        for tag, payload in ordered:
-            if tag == "e" and state == 1 and root:
-                state = 2
-            if tag == "e" and state != 1:
+    ways = []
+    if root or j == len(kids):
+        ways.append((kids[:i], run, kids[j:]))
+    if not root and i == 0:
+        ways.append((kids[j:][::-1], run[::-1], ()))
+    for lead, seq, tail in ways:
+        out = list(lead)
+        last = len(seq) - 1
+        for k, (tag, payload) in enumerate(seq):
+            if tag == "f":
                 out.append(payload)  # type: ignore[arg-type]
-            elif tag == "f" and state != 2:
-                out.append(payload)  # type: ignore[arg-type]
-                state = 1
-            elif tag == "p" and state == 0:
+            elif tag == "p" and k == 0:
                 out.extend(payload)  # type: ignore[arg-type]
-                state = 1
-            elif tag == "p" and state == 1 and root:
+            elif tag == "p" and k == last and root:
                 out.extend(reversed(payload))  # type: ignore[call-overload]
-                state = 2
             else:
                 break
         else:
-            return _q(out) if root else tuple(out)
+            out.extend(tail)
+            return _q(out, node.leaves) if root else tuple(out)
     return None
-
-
-def _reduce_node(node: Node, s: int) -> Optional[Node]:
-    # s is a subset of node.leaves here, so a leaf always equals s
-    if node.leaves == s:
-        return node
-    # descend while one child wholly contains the constraint
-    for i, c in enumerate(node.children):  # type: ignore[union-attr]
-        if s & c.leaves == s:
-            c2 = _reduce_node(c, s)
-            if c2 is None:
-                return None
-            children = node.children[:i] + (c2,) + node.children[i + 1 :]  # type: ignore[union-attr]
-            return type(node)(children, node.leaves)  # type: ignore[call-arg]
-    return _arrange(node, s, True)  # type: ignore[return-value]
 
 
 def pq_reduce(t: PQTree, s: int) -> Optional[PQTree]:
@@ -247,16 +252,23 @@ def pq_reduce(t: PQTree, s: int) -> Optional[PQTree]:
         raise ValueError(f"unknown rows in constraint: {_bits(s & ~leaves)}")
     if s & (s - 1) == 0 or s == leaves:
         return t
-    root = _reduce_node(t.root, s)
+    root = _reduce(t.root, s, True)
     return None if root is None else PQTree(root)
 
 
 # --- consecutive ones -----------------------------------------------------
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _columns(m: BinaryMatrix) -> list[int]:
-    """Each column's 1-rows as a mask, read in one transpose of the matrix."""
-    rows = range(m.rows)
-    return [sum(1 << r for r in compress(rows, col)) for col in zip(*m.bits)]
+    """Each column's 1-rows as a mask, parsed from one strided slice per column."""
+    # the rows last to first as one string of binary digits, so that column
+    # j, every m.cols-th digit from digit j on, puts row 0 in its lowest bit
+    digits = bytearray()
+    for row in reversed(m.bits):
+        digits += bytes(row).translate(_DIGITS)
+    return [int(digits[j :: m.cols], 2) for j in range(m.cols)]
 
 
 def _is_run(mask: int) -> bool:

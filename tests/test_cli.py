@@ -83,6 +83,15 @@ def test_c1p_subcommand(tmp_path, capsys):
     assert code == 0 and doc["permutation"] is not None
 
 
+@pytest.mark.parametrize("header", ["0 0", "0 5", "3 0"])
+def test_c1p_rejects_a_matrix_without_rows_or_columns(tmp_path, capsys, header):
+    f = tmp_path / "m.txt"
+    f.write_text(header + "\n")
+    code, out, err = run(capsys, "c1p", str(f))
+    assert code == 2 and out == ""
+    assert "matrix must have at least one row and one column" in err
+
+
 def test_star_c1p_subcommand(capsys):
     code, doc, _ = run_json(capsys, "star-c1p", "Dhc")  # C5
     assert code == 0 and doc["witness"] is None

@@ -211,7 +211,7 @@ def test_matrix_text_roundtrip():
 
 
 def _seeded_reductions():
-    """Frontiers of a seeded random stream of reductions, None on failure.
+    """Reduced trees of a seeded random stream of reductions, None on failure.
 
     For each n = 2..12, half the streams draw intervals of a hidden
     permutation (mostly feasible, so the trees grow deep Q-nodes) and half
@@ -233,21 +233,66 @@ def _seeded_reductions():
                 else:
                     s = rng.sample(range(n), rng.randrange(1, n + 1))
                 reduced = pq_reduce(t, mask(s))
-                out.append(None if reduced is None else frontier(reduced))
+                out.append(reduced)
                 if reduced is not None:
                     t = reduced
     return out
 
 
+def _sha256_of_lines(items) -> str:
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
 # sha256 of the stored frontiers of _seeded_reductions, one repr per line
 REDUCTIONS_SHA256 = "43b9c9cee44099302f5fc570d4be291739580432dfea620448b4ca208139185d"
+# sha256 of the reduced trees themselves, one repr per line, so that a P/Q
+# shape change which keeps every frontier still shows
+REDUCTION_TREES_SHA256 = "dc536f65c98ec1a4ca1351d4d9c1df3ca866056921456c321c2b348f261f47a7"
 
 
 def test_reduction_tree_shapes_are_pinned():
     results = _seeded_reductions()
     assert len(results) > 2000
-    lines = "\n".join(repr(r) for r in results)
-    assert hashlib.sha256(lines.encode()).hexdigest() == REDUCTIONS_SHA256
+    frontiers = [None if t is None else frontier(t) for t in results]
+    assert _sha256_of_lines(frontiers) == REDUCTIONS_SHA256
+    assert _sha256_of_lines(results) == REDUCTION_TREES_SHA256
+
+
+class _Unread:
+    """A stand-in child that fails the test when a reduction reads its leaf set."""
+
+    def __init__(self, row: int):
+        self.row = row
+
+    @property
+    def leaves(self) -> int:
+        raise AssertionError(f"the leaf set of row {self.row} was read")
+
+
+def _nodes(node):
+    yield node
+    for c in getattr(node, "children", ()):
+        yield from _nodes(c)
+
+
+def test_reduction_reads_no_child_past_the_constraint():
+    """Children after the last one that meets the mask are neither read nor copied."""
+    n, k = 400, 5
+    t = PQTree.universal(n)
+    for r in range(n - 1):
+        t = pq_reduce(t, 0b11 << r)
+    assert isinstance(t.root, QNode) and frontier(t) == tuple(range(n))
+    unread = tuple(map(_Unread, range(k, n)))
+    wide_q = QNode(t.root.children[:k] + unread, t.root.leaves)
+    wide_p = PNode(tuple(Leaf(r, 1 << r) for r in range(k)) + unread, t.root.leaves)
+    # below the root a partial Q-node ends its scan once it has covered its
+    # share of the mask, here rows 0..4 at its left end
+    nested = PNode((wide_q, Leaf(n, 1 << n)), t.root.leaves | 1 << n)
+    for root, s in ((wide_q, 0b11100), (wide_p, 0b10110), (nested, 0b11111 | 1 << n)):
+        reduced = pq_reduce(PQTree(root), s)
+        assert reduced is not None
+        kept = [c for c in _nodes(reduced.root) if isinstance(c, _Unread)]
+        assert sorted(map(id, kept)) == sorted(map(id, unread))
 
 
 def _interval_matrix(rng: random.Random, size: int, max_len: int) -> list[list[int]]:
