@@ -129,6 +129,21 @@ def _improving(g: Graph, k: int, p: Sequence[int], w: int, walk: Sequence[int]) 
     return ImprovedPath(cand)
 
 
+def _join(g: Graph, base: tuple[int, ...], pivot: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    """base up to its entry y nearest pivot, a shortest link y .. pivot up to
+    its first vertex t on tail, then tail after t; tail starts at pivot.
+
+    Link and tail are both shortest paths through pivot, so t on both sits at
+    position len(link) - 1 - d(t, pivot) on the link and d(pivot, t) on the
+    tail: the first shared vertex along the link is the last along the tail.
+    """
+    y = _nearest(g, pivot, base)
+    link = _shortest_path(g, y, pivot)
+    on_tail = set(tail)
+    j = next(i for i, t in enumerate(link) if t in on_tail)
+    return base[: base.index(y) + 1] + link[1 : j + 1] + tail[tail.index(link[j]) + 1 :]
+
+
 def _end_step(
     g: Graph, k: int, p: tuple[int, ...], path_wa: tuple[int, ...], w: int
 ) -> Union[Shortened, ImprovedPath, int]:
@@ -151,47 +166,9 @@ def _end_step(
     off_wa = cands & ~_cover_mask(g, path_wa, k)
     if off_wa:
         return _lowest(off_wa)
-    # reroute through the connector: walk w .. y .. y' .. u, then along p
+    # reroute through the connector: walk w .. y .. t .. u (see _join), then along p
     c = _lowest(cands)
-    y = _nearest(g, c, path_wa)
-    path_yc = _shortest_path(g, y, c)
-    path_cu = _shortest_path(g, c, u)
-    on_yc = set(path_yc)
-    y2 = next(t for t in reversed(path_cu) if t in on_yc)
-    iy = path_wa.index(y)
-    jy = path_yc.index(y2)
-    jc = path_cu.index(y2)
-    walk = path_wa[: iy + 1] + path_yc[1 : jy + 1] + path_cu[jc + 1 :] + p[1:]
-    return _improving(g, k, p, w, walk)
-
-
-def _reroute_far(
-    g: Graph,
-    k: int,
-    p: tuple[int, ...],
-    ia: int,
-    path_wa: tuple[int, ...],
-    path_end: tuple[int, ...],
-    path_far: tuple[int, ...],
-    far_prime: int,
-    w: int,
-) -> ImproveResult:
-    """Absorb w when far_prime sits within N^k of the opposite end's tail.
-
-    path_end runs far_prime-side-first into p[0]; path_far runs from p[-1]
-    out to the other candidate.  The new walk detours p[-1] .. p[0] through
-    the two tails and re-enters p next to a, freeing the connector to w.
-    """
-    x = _nearest(g, far_prime, path_far)
-    path_xu = _shortest_path(g, x, far_prime)
-    on_end = set(path_end)
-    x2 = next(t for t in path_xu if t in on_end)
-    ix = path_far.index(x)
-    jx = path_xu.index(x2)
-    je = path_end.index(x2)
-    ext = path_far[: ix + 1] + path_xu[1 : jx + 1] + path_end[je + 1 :]
-    walk = p[ia + 1 :] + ext[1:] + p[1 : ia + 1] + tuple(reversed(path_wa))[1:]
-    return _improving(g, k, p, w, walk)
+    return _improving(g, k, p, w, _join(g, path_wa, c, _shortest_path(g, c, u)) + p[1:])
 
 
 def _arrange_witness(k: int, certs: Sequence[tuple[int, ...]]) -> KatWitness:
@@ -231,20 +208,15 @@ def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
     side_mask = _mask_of(path_u) | _mask_of(path_v) | _mask_of(p)
     if _grow_mask(g, side_mask, k) >> w & 1:
         return _improving(g, k, p, w, path_u + p[1:] + path_v[1:])
-    if _cover_mask(g, path_v, k) >> u_prime & 1:
-        return _reroute_far(g, k, p, ia, path_wa, path_u, path_v, u_prime, w)
-    if _cover_mask(g, path_u, k) >> v_prime & 1:
-        return _reroute_far(
-            g,
-            k,
-            rev,
-            len(p) - 1 - ia,
-            path_wa,
-            tuple(reversed(path_v)),
-            tuple(reversed(path_u)),
-            v_prime,
-            w,
-        )
+    # a tip within N^k of the far tail: detour q[-1] .. q[0] through both
+    # tails and re-enter q next to a, freeing the connector to w
+    for q, iq, tip, end, far in (
+        (p, ia, u_prime, path_u, path_v),
+        (rev, len(p) - 1 - ia, v_prime, path_v[::-1], path_u[::-1]),
+    ):
+        if _cover_mask(g, far, k) >> tip & 1:
+            walk = q[iq + 1 :] + _join(g, far, tip, end)[1:] + q[1 : iq + 1] + path_wa[::-1][1:]
+            return _improving(g, k, q, w, walk)
 
     cert_uv = _shortcut(path_u + p[1:] + path_v[1:])
     cert_wu = _shortcut(path_wa + tuple(reversed(p[: ia + 1]))[1:] + tuple(reversed(path_u))[1:])
@@ -258,6 +230,8 @@ def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
 def improve_once(g: Graph, k: int, p: Sequence[int]) -> ImproveResult:
     """One round of the paper's improvement step on a path whose eccentricity
     exceeds k: w is the vertex farthest from p, smallest index on ties."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     p = tuple(p)
     if not is_path(g, p):
         raise ValueError(f"{p} is not a path of the graph")

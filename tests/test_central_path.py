@@ -16,12 +16,13 @@ from pathecc.eccentricity import has_path_with_ecc_at_most, path_eccentricity
 from pathecc.families import (
     cycle,
     emit_graph6,
+    enumerate_connected,
     fig_biconvex,
     parse_graph6,
     path_graph,
     subdivided_claw,
 )
-from pathecc.graphs import Graph, is_path
+from pathecc.graphs import Graph, _shortest_path, is_path
 
 
 def test_greedy_seed_path():
@@ -174,6 +175,25 @@ def test_improve_once_reroutes_around_far_candidate():
     assert {3, 1, 6, 0} <= set(step.path)
 
 
+@pytest.mark.parametrize(
+    "g6, k, p, out",
+    [
+        # the smallest corpus input, from the seed 2 .. 3: tip u' near v's tail
+        ("FCQb_", 1, (2, 6, 3), (3, 0, 5, 2, 6, 1, 4)),
+        # the only known input from the v end: the seed 2 .. 7, read from 7
+        ("M?_ROcCB__CC@@_??", 2, (7, 6, 2), (7, 3, 5, 8, 11, 2, 6, 4, 0, 13)),
+    ],
+)
+def test_improve_once_reroutes_around_far_candidate_from_either_end(g6, k, p, out):
+    assert improve_once(parse_graph6(g6), k, p) == ImprovedPath(out)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_improve_once_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        improve_once(parse_graph6("CF"), k, (0, 3, 1))
+
+
 def test_certificate_in_path_loop_raises():
     """A certificate in the path loop refutes the step: it names the graph."""
     from pathecc.central_path import _cover, _cover_mask
@@ -223,6 +243,31 @@ def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
     assert len(lines) > 450
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DICHOTOMY_SHA256
+
+
+# sha256 over the connected graphs with n <= 7 and k = 1..3 of every
+# improvement chain seeded with the shortest path s .. t, s <= t
+SEEDED_CHAINS_SHA256 = "a3502583c2f070aca9a279d7c43c1537243894569593606984c6a6ba67e23131"
+
+
+def test_seeded_improvement_chains_are_pinned():
+    lines = []
+    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+        g6 = emit_graph6(g)
+        for k in (1, 2, 3):
+            for s in range(g.n):
+                for t in range(s, g.n):
+                    p = _shortest_path(g, s, t)
+                    steps = []
+                    while path_eccentricity(g, p) > k:
+                        steps.append(improve_once(g, k, p))
+                        if isinstance(steps[-1], Certificate):
+                            break
+                        p = steps[-1].path
+                    lines.append(repr((g6, k, s, t, steps)))
+    assert len(lines) == 79881
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SEEDED_CHAINS_SHA256
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
