@@ -4,13 +4,14 @@ A triple qualifies at level k when each pair is joined by a path that stays
 clear of the distance-k neighborhood of the third vertex.  Witnesses carry
 those three paths so they can be re-verified independently.
 
-Searching for a triple first labels, for every vertex z, the connected
-components of C_z - N^k[z] with their vertex bitmasks, where C_z is z's
-component of G (after Köhler, "Recognizing graphs without asteroidal
-triples", JDA 2004).  Each labelling is one sweep of mask BFS steps, and
-afterwards every triple is decided by three bit tests.  A search thus
-costs n + 1 labellings plus at most O(n^3) bit tests, not three BFS runs
-per triple; paths are built only for the triple that is reported.
+Searching for a triple labels, for a vertex z, the connected components
+of C_z - N^k[z] with their vertex bitmasks, where C_z is z's component of
+G (after Köhler, "Recognizing graphs without asteroidal triples", JDA
+2004).  Each labelling is one sweep of mask BFS steps, built the first
+time a triple test reads it, and every triple is decided by three bit
+tests.  A search thus costs at most n + 1 labellings plus at most O(n^3)
+bit tests, not three BFS runs per triple; paths are built only for the
+triple that is reported.
 """
 
 from __future__ import annotations
@@ -94,45 +95,42 @@ def _label_components(g: Graph, allowed: int) -> list[int]:
     return row
 
 
-def _component_labels(g: Graph, k: int) -> tuple[list[int], list[list[int]]]:
-    """whole[v]: mask of C_v; labels[z][v]: mask of v's component in C_z - N^k[z].
-
-    C_z is z's component of G, and labels[z][v] is 0 for v outside it.  A
-    k-AT lies inside one component of G, so labelling only C_z loses no
-    triple, and on a graph with many components each z stores masks for
-    its own component alone.
-    """
-    whole = _label_components(g, (1 << g.n) - 1)
-    labels = [
-        _label_components(g, whole[z] & ~_grow_mask(g, 1 << z, k))
-        for z in range(g.n)
-    ]
-    return whole, labels
-
-
 def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:
     """Lexicographically first k-AT triple a < b < c, found without paths.
 
     The triple qualifies exactly when b lies in a's component of
     G - N^k[c], c in a's component of G - N^k[b], and c in b's component
-    of G - N^k[a].
+    of G - N^k[a].  whole[v] is the mask of C_v, v's component of G, and
+    labels[z][v] the mask of v's component in C_z - N^k[z], built the
+    first time a test reads it.  A k-AT lies inside one component of G, so
+    labelling only C_z loses no triple.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    whole, labels = _component_labels(g, k)
+    whole = _label_components(g, (1 << g.n) - 1)
+    labels: list[Optional[list[int]]] = [None] * g.n
+
+    def label(z: int) -> list[int]:
+        row = labels[z] = _label_components(g, whole[z] & ~_grow_mask(g, 1 << z, k))
+        return row
+
     for a in range(g.n):
-        row_a = labels[a]
         # b > a in a's component of G; no triple spans two components
         later = whole[a] >> (a + 1)
+        if not later:
+            continue
+        row_a = labels[a] or label(a)
         while later:
             low_b = later & -later
             b = a + low_b.bit_length()
             # candidates c > b passing the two tests that involve a and b
-            cands = row_a[b] & labels[b][a] & ~((2 << b) - 1)
+            cands = row_a[b] & ~((2 << b) - 1)
+            if cands:
+                cands &= (labels[b] or label(b))[a]
             while cands:
                 low = cands & -cands
                 c = low.bit_length() - 1
-                if labels[c][a] >> b & 1:
+                if (labels[c] or label(c))[a] >> b & 1:
                     return (a, b, c)
                 cands ^= low
             later ^= low_b

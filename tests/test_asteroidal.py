@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ from conftest import (
     reference_min_k_at_free,
     seeded_connected_gnp,
 )
+import pathecc.asteroidal as asteroidal
 from pathecc.asteroidal import (
     KatWitness,
     find_k_at,
@@ -23,11 +25,12 @@ from pathecc.families import (
     FIG_BICONVEX_AT,
     clique,
     cycle,
+    emit_graph6,
     fig_biconvex,
     path_graph,
     subdivided_claw,
 )
-from pathecc.graphs import Graph
+from pathecc.graphs import Graph, is_connected
 
 
 def test_is_k_at_c6():
@@ -193,8 +196,64 @@ def test_find_k_at_memory_stays_per_component():
 
 def test_find_k_at_skips_pairs_across_components():
     # b is scanned only inside a's component of G, so isolated vertices
-    # cost a labelling each but no pair scan
+    # cost neither a labelling nor a pair scan
     g = Graph.from_edges(3000, [])
     start = time.perf_counter()
     assert find_k_at(g, 1) is None
     assert time.perf_counter() - start < 1.0
+
+
+def _count_labellings(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = asteroidal._label_components
+
+    def counted(g, allowed):
+        calls[0] += 1
+        return inner(g, allowed)
+
+    monkeypatch.setattr(asteroidal, "_label_components", counted)
+    return calls
+
+
+def test_find_k_at_labels_isolated_vertices_never(monkeypatch):
+    calls = _count_labellings(monkeypatch)
+    assert find_k_at(Graph.from_edges(3000, []), 1) is None
+    assert calls[0] == 1  # the labelling of G itself
+
+
+def test_find_k_at_labels_only_vertices_a_test_reads(monkeypatch):
+    g = Graph.from_edges(600, subdivided_claw(2).edges())
+    calls = _count_labellings(monkeypatch)
+    w = find_k_at(g, 1)
+    assert w is not None and w.triple == (2, 4, 6)
+    assert calls[0] <= 8
+
+
+# sha256 over one line per graph: its graph6, find_k_at for k = 1..4 and,
+# when connected, min_k_at_free; witness paths included byte for byte
+KAT_ANSWERS_SHA256 = "bda2247353bc6cc715b7f6d75309c60aaaff05ee8726de2fef96014624628c8b"
+
+
+def _interleaved_union() -> Graph:
+    """C7, the 2-subdivided claw, a G(20, 3/20) and two isolated vertices,
+    renumbered v -> 5v mod 36 so the components interleave."""
+    parts = [cycle(7), subdivided_claw(2), seeded_connected_gnp(20, 0)]
+    edges, base = [], 0
+    for part in parts:
+        edges += [(u + base, v + base) for u, v in part.edges()]
+        base += part.n
+    n = base + 2
+    return Graph.from_edges(n, [(5 * u % n, 5 * v % n) for u, v in edges])
+
+
+def test_k_at_answers_are_pinned(connected_upto_6):
+    graphs = list(connected_upto_6)
+    graphs += [seeded_connected_gnp(n, s) for n in range(20, 31) for s in range(3)]
+    graphs.append(_interleaved_union())
+    lines = []
+    for g in graphs:
+        answers = [find_k_at(g, k) for k in range(1, 5)]
+        level = min_k_at_free(g) if is_connected(g) else None
+        lines.append(repr((emit_graph6(g), answers, level)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (177, KAT_ANSWERS_SHA256)
