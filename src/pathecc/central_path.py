@@ -63,21 +63,6 @@ def _trace(sink: TraceSink, step: str, covered: int, path_len: int, w: Optional[
         sink.append({"step": step, "covered": covered, "path_len": path_len, "w": w})
 
 
-def _shortcut(walk: Sequence[int]) -> tuple[int, ...]:
-    """Loop-erase a walk: on a repeat, splice out the cycle in between."""
-    out: list[int] = []
-    pos: dict[int, int] = {}
-    for x in walk:
-        if x in pos:
-            for y in out[pos[x] + 1 :]:
-                del pos[y]
-            del out[pos[x] + 1 :]
-        else:
-            pos[x] = len(out)
-            out.append(x)
-    return tuple(out)
-
-
 def _cover_mask(g: Graph, vs: Sequence[int], k: int) -> int:
     return _grow_mask(g, _mask_of(vs), k)
 
@@ -106,8 +91,6 @@ def greedy_seed_path(g: Graph) -> tuple[int, ...]:
     """Shortest path between two BFS-farthest vertices (double sweep)."""
     if not is_connected(g):
         raise ValueError("greedy_seed_path requires a connected graph")
-    if g.n == 1:
-        return (0,)
     full = (1 << g.n) - 1
     s = _lowest(_sweep(g.adj_masks, 1, full, -1)[1])
     t = _lowest(_sweep(g.adj_masks, 1 << s, full, -1)[1])
@@ -121,12 +104,11 @@ def _step_failed(g: Graph, k: int, p: Sequence[int], why: str) -> RuntimeError:
     )
 
 
-def _improving(g: Graph, k: int, p: Sequence[int], w: int, walk: Sequence[int]) -> ImprovedPath:
-    """Loop-erase a walk that must be a path through p covering w."""
-    cand = _shortcut(walk)
-    if not (is_path(g, cand) and set(p) <= set(cand) and _cover_mask(g, cand, k) >> w & 1):
+def _improving(g: Graph, k: int, p: Sequence[int], w: int, walk: tuple[int, ...]) -> ImprovedPath:
+    """Check that the step's walk is a path through p that covers w (see _step)."""
+    if not (is_path(g, walk) and set(p) <= set(walk) and _cover_mask(g, walk, k) >> w & 1):
         raise _step_failed(g, k, p, f"no improving path absorbs {w}")
-    return ImprovedPath(cand)
+    return ImprovedPath(walk)
 
 
 def _join(g: Graph, base: tuple[int, ...], pivot: int, tail: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,7 +161,24 @@ def _arrange_witness(k: int, certs: Sequence[tuple[int, ...]]) -> KatWitness:
 
 
 def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
-    """The improvement step on path p for the uncovered vertex w."""
+    """The improvement step on path p for the uncovered vertex w.
+
+    Every walk it builds is already a path.  a is the entry of p nearest w,
+    so path_wa meets p only at a, and d(z, a) <= d(z, x) for z on path_wa
+    and x on p.  A tip u' has d(u', u) = k and is farther than k from p[1:]
+    and from path_wa, so path_u meets p only at u and misses path_wa; so
+    does path_v at v.  A z on both would give 2k < d(u', v) + d(v', u) <=
+    d(u', z) + d(z, u) + d(v', z) + d(z, v) = 2k, so they are disjoint.
+    Hence uv (the joined tips, and a certificate path) and the certificate
+    paths w .. a .. u .. u' and w .. a .. v .. v' are paths.  In the end
+    reroute (_end_step), c is outside N^k(p[1:]) and within k of path_wa:
+    the tail c .. u and the link y .. c lie within k of c, so they miss
+    p[1:], and y != a.  A z on the tail has d(z, a) > k - d(c, z) = d(z, u),
+    so it is off path_wa, and the link meets path_wa only at y, the entry
+    nearest c (see _join).  In the far-tail reroute the link into the tip
+    lies within k of it, so it misses p and path_wa as the tip does, and it
+    meets the far tail only at y.
+    """
     a = _nearest(g, w, sorted(p))
     path_wa = _shortest_path(g, w, a)
     assert set(path_wa) & set(p) == {a}
@@ -204,10 +203,11 @@ def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
     path_u = _shortest_path(g, u_prime, u)  # u' .. u
     path_v = _shortest_path(g, v, v_prime)  # v .. v'
 
-    # joining both candidate tips through p covers w: that is an improvement
-    side_mask = _mask_of(path_u) | _mask_of(path_v) | _mask_of(p)
-    if _grow_mask(g, side_mask, k) >> w & 1:
-        return _improving(g, k, p, w, path_u + p[1:] + path_v[1:])
+    uv = path_u + p[1:] + path_v[1:]
+    # joined tips.  Never at k = 1: an x on a tip's path within k of w has
+    # d(tip, x) >= 1 as d(tip, w) > k, and d(tip, x) <= k - 1 as d(w, p) > k
+    if _cover_mask(g, uv, k) >> w & 1:
+        return _improving(g, k, p, w, uv)
     # a tip within N^k of the far tail: detour q[-1] .. q[0] through both
     # tails and re-enter q next to a, freeing the connector to w
     for q, iq, tip, end, far in (
@@ -218,10 +218,8 @@ def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
             walk = q[iq + 1 :] + _join(g, far, tip, end)[1:] + q[1 : iq + 1] + path_wa[::-1][1:]
             return _improving(g, k, q, w, walk)
 
-    cert_uv = _shortcut(path_u + p[1:] + path_v[1:])
-    cert_wu = _shortcut(path_wa + tuple(reversed(p[: ia + 1]))[1:] + tuple(reversed(path_u))[1:])
-    cert_wv = _shortcut(path_wa + p[ia + 1 :] + path_v[1:])
-    witness = _arrange_witness(k, (cert_uv, cert_wu, cert_wv))
+    cert_wu = path_wa + p[:ia][::-1] + path_u[::-1][1:]
+    witness = _arrange_witness(k, (uv, cert_wu, path_wa + p[ia + 1 :] + path_v[1:]))
     if not verify_kat(g, witness):
         raise _step_failed(g, k, p, "certificate fails verify_kat")
     return Certificate(witness)

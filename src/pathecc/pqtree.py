@@ -108,11 +108,9 @@ def _p(children: Sequence[Node], leaves: int) -> Node:
 
 
 def _q(children: Sequence[Node], leaves: int) -> Node:
+    """A Q-node; _reduce hands it one child or at least three, never two."""
     if len(children) == 1:
         return children[0]
-    if len(children) == 2:
-        # a two-child Q allows exactly the same two frontiers as a P
-        return PNode(tuple(children), leaves)
     return QNode(tuple(children), leaves)
 
 

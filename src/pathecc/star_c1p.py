@@ -101,8 +101,6 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     if g.n == 0:
         raise ValueError("find_star_c1p needs at least one vertex")
     n = g.n
-    if n == 1:
-        return OrderingWitness((0,), frozenset())
     # (vertices decided, tree before the last one's column, diagonal, column);
     # the start has decided nothing and has no column to reduce by
     stack = [(0, PQTree.universal(n), 0, 0)]

@@ -151,6 +151,16 @@ def test_verify_kat_rejects_garbage():
     assert not verify_kat(g, bad2)
 
 
+def test_verify_kat_rejects_swapped_ends_and_walks():
+    g = subdivided_claw(2)
+    good = is_k_at(g, (2, 4, 6), 1)
+    assert verify_kat(g, good)
+    swapped = KatWitness(good.triple, 1, (good.paths[0][::-1],) + good.paths[1:])
+    assert not verify_kat(g, swapped)
+    walk = (2, 1, 0, 1, 0, 3, 4)  # ends right and avoids N[6], but repeats 1 and 0
+    assert not verify_kat(g, KatWitness(good.triple, 1, (walk,) + good.paths[1:]))
+
+
 @given(graph_strategy(max_n=9), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_find_k_at_matches_reference_scan(g, k):

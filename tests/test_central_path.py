@@ -188,6 +188,12 @@ def test_improve_once_reroutes_around_far_candidate_from_either_end(g6, k, p, ou
     assert improve_once(parse_graph6(g6), k, p) == ImprovedPath(out)
 
 
+def test_improve_once_joins_both_tips():
+    # both tips' tails plus p cover w; the branch cannot fire at k = 1
+    step = improve_once(parse_graph6("JqCOGE@G??_"), 2, (1, 0, 2))
+    assert step == ImprovedPath((4, 3, 1, 0, 2, 9, 10))
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_improve_once_rejects_k_below_one(k):
     with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):

@@ -50,6 +50,15 @@ def test_pe_on_graph6_file(tmp_path, capsys):
     assert code == 0 and doc["pe"] in (0, 1)
 
 
+@pytest.mark.parametrize("line", ["0 1 2", "0 x"])
+def test_pe_bad_edge_line_exits_2(tmp_path, capsys, line):
+    f = tmp_path / "g.txt"
+    f.write_text(f"3 2\n0 1\n{line}\n")
+    code, out, err = run(capsys, "pe", str(f))
+    assert code == 2 and out == ""
+    assert f"bad edge on line 3: '{line}'" in err
+
+
 def test_ecc_subcommand(capsys):
     code, doc, _ = run_json(capsys, "ecc", emit_graph6(subdivided_claw(2)), "2,1,0,3,4")
     assert code == 0 and doc["ecc"] == 2

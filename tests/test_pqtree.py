@@ -199,6 +199,11 @@ def test_column_order_is_irrelevant(m, rng):
     assert (has_c1p(m) is None) == (has_c1p(shuffled) is None)
 
 
+def test_from_rows_rejects_entries_other_than_0_and_1():
+    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+        BinaryMatrix.from_rows([[0, 2]])
+
+
 def test_matrix_text_roundtrip():
     text = format_matrix(FIG_C_PARTIAL)
     assert parse_matrix(text) == FIG_C_PARTIAL

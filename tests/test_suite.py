@@ -94,6 +94,13 @@ def test_oversized_graphs_are_skipped_not_fatal():
     assert report.passed
 
 
+def test_graphs_past_both_caps_are_skipped_for_every_property():
+    report = run_property_suite([path_graph(21)], PROPERTIES)
+    assert len(report.results) == 9
+    assert all(r.checked == 0 and r.skipped == 1 for r in report.results)
+    assert report.passed
+
+
 def test_disconnected_graphs_are_skipped_for_pe_properties():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     report = run_property_suite([g], ["theorem3", "theorem4"])
