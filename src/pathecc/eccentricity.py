@@ -8,8 +8,10 @@ A path's eccentricity depends only on its vertex set, so two prefixes with
 the same set and the same last vertex have the same continuations with the
 same scores (Held & Karp, "A dynamic programming approach to sequencing
 problems", 1962).  The work is thus bounded by n * 2^n states rather than
-by the number of simple paths, and a pruning bound that can never cut off
-an optimal path skips most of those states.
+by the number of simple paths, and most of those states are pruned: a path
+that leaves its last vertex enters one component of the unvisited vertices
+and never leaves it, so a branch goes on only while the path plus one such
+component could still beat the bound, which never cuts off an optimal path.
 """
 
 from __future__ import annotations
@@ -56,12 +58,18 @@ def _first_best_path(
     Paths are generated depth-first in lexicographic order, each one scored
     once (reversals are skipped by requiring first <= last vertex).  A path
     whose eccentricity beats the incumbent bound ``limit`` becomes the
-    incumbent, and the search ends once the bound is at most ``stop``.  A
-    branch is abandoned when even covering everything still reachable from
-    its tail cannot beat the bound, or when its state (vertex set, last
-    vertex) was entered before.  The repeat can add nothing a plain
-    exhaustive scan would report, so the witness is still the first one in
-    lexicographic order:
+    incumbent, and the search ends once the bound is at most ``stop``.
+
+    A branch is abandoned when no component C of the unvisited vertices
+    that meets its tail's neighbours has N^(limit-1)[path + C] = V.  This
+    is sound: a longer path steps from the tail into one such C and stays
+    inside it, as C is cut off from the other unvisited vertices, so its
+    vertex set lies within path + C and it cannot beat the bound either.
+
+    A branch is also abandoned when its state (vertex set, last vertex) was
+    entered before.  The prune depends only on the state and ``limit``, so
+    the repeat can add nothing a plain exhaustive scan would report, and
+    the witness is still the first one in lexicographic order:
 
     - depth-first order means the earlier entry had a lexicographically
       smaller prefix, so it met every completion the repeat would meet;
@@ -98,10 +106,16 @@ def _first_best_path(
                     limit, best = ecc, tuple(path)
                     if limit <= stop:
                         return True
-            reach = _sweep(masks, 1 << v, full & ~pmask | 1 << v, -1)[0]
-            if _sweep(masks, pmask | reach, full, limit - 1)[0] != full:
+            free = full & ~pmask
+            rest = masks[v] & free
+            while rest:
+                comp = _sweep(masks, rest & -rest, free, -1)[0]
+                if _sweep(masks, pmask | comp, full, limit - 1)[0] == full:
+                    break
+                rest &= ~comp
+            if not rest:
                 return False
-            for y in _bits(masks[v] & ~pmask):
+            for y in _bits(masks[v] & free):
                 if extend(y, pmask):
                     return True
             return False

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -250,6 +249,9 @@ def run_property_suite(
     jobs = [(g, prop_ids) for g in graphs]
     workers = _worker_count()
     if workers > 1 and len(jobs) > 1:
+        # imported here: multiprocessing costs every other run its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_graph, jobs, chunksize=16))
     else:

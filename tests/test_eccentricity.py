@@ -15,6 +15,7 @@ from conftest import (
     path_ecc_oracle,
     seeded_connected_gnp,
 )
+import pathecc.eccentricity as eccentricity
 from pathecc.asteroidal import min_k_at_free
 from pathecc.eccentricity import (
     PeResult,
@@ -197,6 +198,54 @@ def dense_bipartite(a: int, b: int, keep: int, seed: int) -> Graph:
         g = Graph.from_edges(a + b, rng.sample(pairs, keep))
         if is_connected(g):
             return g
+
+
+def _past_seven() -> list[Graph]:
+    """40 seeded graphs, n = 8..12, whose unvisited vertices split apart."""
+    graphs = []
+    for n in range(8, 13):
+        for s in range(3):
+            graphs.append(seeded_connected_gnp(n, seed=10 * n + s, p=0.15))
+            graphs.append(seeded_connected_gnp(n, seed=10 * n + s, p=0.3))
+        a = n // 3
+        graphs.append(dense_bipartite(a, n - a, a * (n - a) * 3 // 4, n))
+        graphs.append(dense_bipartite(a, n - a, a * (n - a) * 5 // 6, n + 1))
+    return graphs
+
+
+# sha256 of the same answers as PE_ANSWERS_SHA256 on _past_seven(); computed
+# before the pe search pruned per component, so that prune changes no answer
+PE_PAST_SEVEN_SHA256 = "c52401459788503149f9809aa2767eb4d0c35d504f9be0e54e6d5329da38232f"
+
+
+def test_pe_answers_past_n7_are_pinned():
+    lines = []
+    for g in _past_seven():
+        res = pe_exact(g)
+        hits = [has_path_with_ecc_at_most(g, k) for k in range(res.value + 2)]
+        lines.append(repr((emit_graph6(g), res.value, res.witness, hits)))
+    assert len(lines) == 40
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PE_PAST_SEVEN_SHA256
+
+
+def _expanded_states(monkeypatch, g: Graph, k: int):
+    """Answer of has_path_with_ecc_at_most(g, k) and the states it expanded.
+
+    The search calls ``_bits`` once for each state whose branch survives
+    the prune, to list the tail's unvisited neighbours.
+    """
+    calls = []
+    real = eccentricity._bits
+    monkeypatch.setattr(eccentricity, "_bits", lambda m: calls.append(m) or real(m))
+    return has_path_with_ecc_at_most(g, k), len(calls)
+
+
+def test_prune_per_component_cuts_expanded_states(monkeypatch):
+    assert _expanded_states(monkeypatch, subdivided_claw(2), 1) == (None, 9)
+    g = dense_bipartite(4, 8, 27, 0)
+    assert pe_exact(g).value == 1
+    assert _expanded_states(monkeypatch, g, 0) == (None, 2309)
 
 
 # n = 14..16: bipartite graphs keeping ~85% of the edges between parts too

@@ -232,6 +232,11 @@ def test_edge_list_parse_errors(text):
         parse_edge_list(text)
 
 
+def test_edge_list_rejects_a_three_token_edge_line():
+    with pytest.raises(ValueError, match="bad edge on line 3"):
+        parse_edge_list("2 2\n0 1\n0 1 extra")
+
+
 def test_graph_is_collected_after_mask_searches():
     g = cycle(7)
     assert is_connected(g) and pe_exact(g).value == 0  # a Hamiltonian path

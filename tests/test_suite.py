@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +203,18 @@ def test_worker_count_from_environment(monkeypatch):
         monkeypatch.setenv("CPK_THREADS", bad)
         with pytest.raises(ValueError, match="CPK_THREADS"):
             _worker_count()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only CPK_THREADS > 1 pays for importing multiprocessing."""
+    src = str(Path(pathecc.suite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, pathecc, pathecc.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
