@@ -1,9 +1,17 @@
 """Corpus-level property checks and the small-graph counterexample hunter.
 
-Every property is a pure predicate over one graph; the runner evaluates the
-enabled set over a corpus and assembles a deterministic report.  Set
-CPK_THREADS to evaluate graphs in parallel; results are merged in corpus
-order either way, so reports are stable.
+Every property is a pure check over one graph (a violation message or None);
+the runner evaluates the enabled set over a corpus and assembles a
+deterministic report.  Set CPK_THREADS to evaluate graphs in parallel;
+results are merged in corpus order either way, so reports are stable.
+
+Which graphs a property covers is decided once, in ``_eval_graph``: the pe
+properties (theorem1, theorem3, corollary, dichotomy) cover connected graphs
+with 0 < n <= eccentricity.MAX_N, the witness properties (all others) cover
+graphs with 0 < n <= star_c1p.MAX_N, connected or not, and the hunt covers
+the graphs in both domains.  Other graphs count as skipped.  A witness
+property passes a graph with no ordering witness; only the star_c1p_exists
+probe reports it.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -94,33 +101,28 @@ class _GraphCase:
     def pe(self) -> int:
         return pe_exact(self.g).value
 
+    @property
+    def in_pe_domain(self) -> bool:
+        return 0 < self.g.n <= eccentricity.MAX_N and self.connected
 
-class _Outcome(Enum):
-    SKIP = "skip"  # pickled by name, so worker processes return this very member
-
-
-_SKIP = _Outcome.SKIP
+    @property
+    def in_witness_domain(self) -> bool:
+        return 0 < self.g.n <= star_c1p.MAX_N
 
 
 def _prop_theorem1(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.MAX_N:
-        return _SKIP
     if case.min_k == 1 and case.pe > 1:
         return f"1-AT-free but pe={case.pe}"
     return None
 
 
 def _prop_theorem3(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.MAX_N:
-        return _SKIP
     if case.pe > case.min_k:
         return f"pe={case.pe} exceeds min k-AT-free level {case.min_k}"
     return None
 
 
 def _prop_theorem4(case: _GraphCase):
-    if case.g.n > star_c1p.MAX_N:
-        return _SKIP
     if case.star is None:
         return None
     kat = find_k_at(case.g, 2)
@@ -130,16 +132,12 @@ def _prop_theorem4(case: _GraphCase):
 
 
 def _prop_corollary(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.MAX_N:
-        return _SKIP
     if case.star is not None and case.pe > 2:
         return f"ordering witness exists but pe={case.pe}"
     return None
 
 
 def _prop_c5_free(case: _GraphCase):
-    if case.g.n > star_c1p.MAX_N:
-        return _SKIP
     if case.star is None:
         return None
     cyc = find_long_induced_cycle(case.g, 5)
@@ -149,8 +147,6 @@ def _prop_c5_free(case: _GraphCase):
 
 
 def _prop_order_lemma(case: _GraphCase):
-    if case.g.n > star_c1p.MAX_N:
-        return _SKIP
     if case.star is None:
         return None
     p = check_order_lemma(case.g, case.star)
@@ -158,8 +154,6 @@ def _prop_order_lemma(case: _GraphCase):
 
 
 def _prop_path_neighborhood(case: _GraphCase):
-    if case.g.n > star_c1p.MAX_N:
-        return _SKIP
     if case.star is None:
         return None
     bad = check_path_neighborhood(case.g, case.star)
@@ -167,16 +161,12 @@ def _prop_path_neighborhood(case: _GraphCase):
 
 
 def _prop_star_c1p_exists(case: _GraphCase):
-    if case.g.n > star_c1p.MAX_N:
-        return _SKIP
     if case.star is None:
         return "no ordering witness"
     return None
 
 
 def _prop_dichotomy(case: _GraphCase):
-    if not case.connected or case.g.n > eccentricity.MAX_N:
-        return _SKIP
     g = case.g
     for k in (1, 2, 3):
         d = find_k_dominating_path_or_witness(g, k)
@@ -195,7 +185,7 @@ def _prop_dichotomy(case: _GraphCase):
     return None
 
 
-PROPERTIES: dict[str, Callable[[_GraphCase], object]] = {
+PROPERTIES: dict[str, Callable[[_GraphCase], Optional[str]]] = {
     "theorem1": _prop_theorem1,
     "theorem3": _prop_theorem3,
     "theorem4": _prop_theorem4,
@@ -208,12 +198,19 @@ PROPERTIES: dict[str, Callable[[_GraphCase], object]] = {
 }
 
 
-def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, object]]:
+# properties on the exact pe oracle; every other property is on the witness search
+_PE_PROPERTIES = frozenset({"theorem1", "theorem3", "corollary", "dichotomy"})
+
+
+def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, bool, Optional[str]]]:
+    """(pid, inside, violation) per property; a property runs only inside its domain."""
     g, prop_ids = args
-    if g.n == 0:  # no property is defined on the empty graph
-        return [(pid, _SKIP) for pid in prop_ids]
     case = _GraphCase(g)
-    return [(pid, PROPERTIES[pid](case)) for pid in prop_ids]
+    rows = []
+    for pid in prop_ids:
+        inside = case.in_pe_domain if pid in _PE_PROPERTIES else case.in_witness_domain
+        rows.append((pid, inside, PROPERTIES[pid](case) if inside else None))
+    return rows
 
 
 def _worker_count() -> int:
@@ -237,7 +234,7 @@ def run_property_suite(
 ) -> PropertyReport:
     """Evaluate the chosen properties over every graph of the corpus.
 
-    Oversized or otherwise ineligible graphs are skipped and counted, never
+    Graphs outside a property's domain are skipped and counted, never
     fatal.  The report depends only on corpus order and the enabled set.
     """
     prop_ids = tuple(sorted(set(properties)))
@@ -261,14 +258,13 @@ def run_property_suite(
     skipped = {pid: 0 for pid in prop_ids}
     violations: dict[str, list[tuple[str, str]]] = {pid: [] for pid in prop_ids}
     for g, row in zip(graphs, rows):
-        for pid, outcome in row:
-            if outcome is _SKIP:
+        for pid, inside, violation in row:
+            if not inside:
                 skipped[pid] += 1
-            elif outcome is None:
-                checked[pid] += 1
-            else:
-                checked[pid] += 1
-                violations[pid].append((emit_graph6(g), str(outcome)))
+                continue
+            checked[pid] += 1
+            if violation is not None:
+                violations[pid].append((emit_graph6(g), violation))
     results = tuple(
         PropertyResult(pid, checked[pid], skipped[pid], tuple(violations[pid]))
         for pid in prop_ids
@@ -283,19 +279,19 @@ def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
     eccentricity <= 1; only a hit pays for ``pe_exact``, which fills in the
     value and path reported.  The first hit is re-verified on both sides
     before being reported; finding none leaves the conjectured bound
-    standing on the graphs that were checked.  Empty, oversized and
-    disconnected graphs are counted as skipped.
+    standing on the graphs that were checked.  Graphs outside either
+    domain (empty, oversized or disconnected) are counted as skipped.
     """
     searched = 0
     skipped = 0
     with_witness = 0
-    cap = min(eccentricity.MAX_N, star_c1p.MAX_N)
     for g in corpus:
         searched += 1
-        if not 0 < g.n <= cap or not is_connected(g):
+        case = _GraphCase(g)
+        if not (case.in_pe_domain and case.in_witness_domain):
             skipped += 1
             continue
-        witness = find_star_c1p(g)
+        witness = case.star
         if witness is None:
             continue
         with_witness += 1

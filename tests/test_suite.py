@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from pathecc.families import (
     emit_graph6,
     enumerate_connected,
     fig_example_c,
+    parse_graph6,
     path_graph,
     subdivided_claw,
 )
@@ -125,6 +127,44 @@ def test_parallel_run_matches_sequential():
         del os.environ["CPK_THREADS"]
     assert seq.results == par.results
     assert any(r.skipped for r in par.results) and not par.passed
+
+
+# sha256 of repr((report.results, hunt result)) for every property on
+# _mixed_corpus(), computed while each property still carried its own guard
+MIXED_SHA256 = "7540ce77b4724a699f2fe7bbb4264e7bcf0ab7aaeacc3c6ebbd183fce00c5097"
+
+
+def _mixed_corpus() -> list[Graph]:
+    """Graphs on both sides of each domain: empty, disconnected, past one cap
+    or both, with and without an ordering witness."""
+    corpus = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    corpus += [parse_graph6("?"), parse_graph6("C`"), Graph.from_edges(3, [])]
+    corpus += [path_graph(17), path_graph(21), clique(17), cycle(9), subdivided_claw(2)]
+    corpus.append(Graph.from_edges(18, [(i, i + 1) for i in range(17) if i != 8]))
+    return corpus
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_mixed_corpus_report_and_hunt_are_pinned(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("CPK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CPK_THREADS", threads)
+    corpus = _mixed_corpus()
+    report = run_property_suite(corpus, PROPERTIES, corpus_name="mixed")
+    hunt = hunt_conjecture(corpus)
+    counts = {r.property_id: (r.checked, r.skipped, len(r.violations)) for r in report.results}
+    for pid in ("theorem1", "theorem3", "corollary", "dichotomy"):
+        assert counts[pid] == (33, 7, 0)
+    for pid in ("theorem4", "c5_free", "order_lemma", "path_neighborhood"):
+        assert counts[pid] == (38, 2, 0)
+    assert counts["star_c1p_exists"] == (38, 2, 3)
+    assert (hunt.searched, hunt.with_witness, hunt.skipped) == (40, 30, 7)
+    assert sha256(repr((report.results, hunt)).encode()).hexdigest() == MIXED_SHA256
+
+
+def test_pe_properties_are_registered():
+    assert pathecc.suite._PE_PROPERTIES <= PROPERTIES.keys()
 
 
 def test_rank_lemma_properties_name_the_first_failure():
