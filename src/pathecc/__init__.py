@@ -14,7 +14,6 @@ from .central_path import (
 )
 from .eccentricity import PeResult, has_path_with_ecc_at_most, path_eccentricity, pe_exact
 from .families import (
-    FamilySpec,
     emit_graph6,
     enumerate_connected,
     generate,

@@ -4,19 +4,10 @@ and exhaustive enumeration of small connected graphs up to isomorphism."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph, _sweep
 from .pqtree import BinaryMatrix
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its numeric parameters, as addressed from the CLI."""
-
-    name: str
-    params: tuple[float, ...] = ()
 
 
 def subdivided_claw(k: int) -> Graph:
@@ -182,14 +173,13 @@ def _integral(family: str, what: str, x: float) -> int:
     return int(x)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a family spec describes.
+def generate(name: str, params: Sequence[float] = ()) -> Graph:
+    """Build the member of the named family with the given parameters.
 
     The parameter count must match the family, and count parameters must
     be integral (5.0 is accepted, 5.7 is not); anything else raises
     ValueError.
     """
-    name, params = spec.name, spec.params
     if name == "random_gnp":
         if len(params) not in (2, 3):
             raise ValueError(

@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Optional
 from . import eccentricity, star_c1p
 from .asteroidal import find_k_at, min_k_at_free, verify_kat
 from .central_path import find_k_dominating_path_or_witness
-from .eccentricity import has_path_with_ecc_at_most, pe_exact
+from .eccentricity import has_path_with_ecc_at_most, path_eccentricity, pe_exact
 from .families import emit_graph6
-from .graphs import Graph, find_long_induced_cycle, is_connected
+from .graphs import Graph, find_long_induced_cycle, is_connected, is_path
 from .star_c1p import (
     OrderingWitness,
     check_order_lemma,
@@ -50,7 +50,6 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    corpus: str
     results: tuple[PropertyResult, ...]
     wall_time_s: float
 
@@ -174,6 +173,8 @@ def _prop_dichotomy(case: _GraphCase):
         if d.path is not None:
             if not want_path:
                 return f"k={k}: path returned although a {k}-AT exists"
+            if not is_path(g, d.path) or path_eccentricity(g, d.path) > k:
+                return f"k={k}: path fails re-verification"
             if has_path_with_ecc_at_most(g, k) is None:
                 return f"k={k}: path returned but decision oracle disagrees"
         else:
@@ -227,11 +228,7 @@ def _worker_count() -> int:
     return workers
 
 
-def run_property_suite(
-    corpus: Iterable[Graph],
-    properties: Iterable[str],
-    corpus_name: str = "corpus",
-) -> PropertyReport:
+def run_property_suite(corpus: Iterable[Graph], properties: Iterable[str]) -> PropertyReport:
     """Evaluate the chosen properties over every graph of the corpus.
 
     Graphs outside a property's domain are skipped and counted, never
@@ -269,7 +266,7 @@ def run_property_suite(
         PropertyResult(pid, checked[pid], skipped[pid], tuple(violations[pid]))
         for pid in prop_ids
     )
-    return PropertyReport(corpus_name, results, time.monotonic() - start)
+    return PropertyReport(results, time.monotonic() - start)
 
 
 def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:

@@ -149,6 +149,8 @@ def test_verify_kat_rejects_garbage():
     assert not verify_kat(g, bad)
     bad2 = KatWitness(good.triple, 1, (good.paths[0], good.paths[1], (4, 0, 6)))
     assert not verify_kat(g, bad2)
+    assert not verify_kat(g, KatWitness((2, 2, 6), 1, good.paths))  # repeated vertex
+    assert not verify_kat(g, KatWitness(good.triple, 0, good.paths))  # no level 0
 
 
 def test_verify_kat_rejects_swapped_ends_and_walks():

@@ -145,6 +145,38 @@ def test_gen_formats(capsys):
     assert code == 0 and out.splitlines()[0] == "7 6"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pe", "Dhc"),
+        ("ecc", "Dhc", "0,1,2"),
+        ("kat", "Dhc"),
+        ("min-kat", "Dhc"),
+        ("c1p", "MATRIX"),
+        ("star-c1p", "Dhc"),
+        ("star-c1p", "Dhc", "--check", '{"order": [0, 1, 2, 3, 4], "diagonal": []}'),
+        ("central-path", "Dhc", "--k", "1"),
+        ("gen", "cycle", "5"),
+        ("suite", "gen:cycle:5", "--props", "star_c1p_exists"),
+        ("hunt", "exhaustive:4"),
+    ],
+    ids=lambda argv: argv[0] + ("-check" if "--check" in argv else ""),
+)
+def test_every_json_command_prints_one_envelope(tmp_path, capsys, argv):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(format_matrix(FIG_A_ADJACENCY))
+    code, out, _ = run(capsys, *(str(matrix) if a == "MATRIX" else a for a in argv))
+    assert code in (0, 1) and out.count("\n") == 1 and out.endswith("\n")
+    doc = json.loads(out)
+    assert (doc["schema"], doc["command"]) == (1, argv[0])
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+def test_gen_raw_formats_print_no_envelope(capsys, fmt):
+    code, out, _ = run(capsys, "gen", "cycle", "5", "--format", fmt)
+    assert code == 0 and out and "{" not in out and "schema" not in out
+
+
 def test_suite_subcommand_pass_and_fail(capsys):
     code, doc, _ = run_json(capsys, "suite", "exhaustive:4", "--props", "theorem4")
     assert code == 0 and doc["passed"] is True

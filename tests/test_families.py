@@ -20,7 +20,6 @@ from pathecc.families import (
     FIG_BICONVEX_AT,
     FIG_C_DIAGONAL,
     FIG_C_PARTIAL,
-    FamilySpec,
     Graph6Error,
     _all_graphs_upto_iso,
     _certificate,
@@ -104,36 +103,36 @@ def test_fixture_matrices_consistent_with_graphs():
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("cycle", (5,))).n == 5
-    assert generate(FamilySpec("fig_example_c")).n == 6
-    assert generate(FamilySpec("random_gnp", (6, 0.5, 3))).n == 6
+    assert generate("cycle", (5,)).n == 5
+    assert generate("fig_example_c").n == 6
+    assert generate("random_gnp", (6, 0.5, 3)).n == 6
     with pytest.raises(ValueError):
-        generate(FamilySpec("nope"))
+        generate("nope")
     with pytest.raises(ValueError):
-        generate(FamilySpec("exhaustive", (4,)))
+        generate("exhaustive", (4,))
 
 
 @pytest.mark.parametrize(
     "spec,message",
     [
-        (FamilySpec("cycle"), "takes 1 parameter"),
-        (FamilySpec("cycle", (5, 6)), "takes 1 parameter"),
-        (FamilySpec("fig_example_a", (1,)), "takes 0 parameter"),
-        (FamilySpec("random_gnp", (5,)), "takes 2 or 3 parameters"),
-        (FamilySpec("random_gnp", (5, 0.5, 1, 2)), "takes 2 or 3 parameters"),
-        (FamilySpec("cycle", (5.7,)), "must be an integer"),
-        (FamilySpec("random_gnp", (5.5, 0.5)), "must be an integer"),
-        (FamilySpec("random_gnp", (5, 0.5, 0.25)), "must be an integer"),
+        (("cycle",), "takes 1 parameter"),
+        (("cycle", (5, 6)), "takes 1 parameter"),
+        (("fig_example_a", (1,)), "takes 0 parameter"),
+        (("random_gnp", (5,)), "takes 2 or 3 parameters"),
+        (("random_gnp", (5, 0.5, 1, 2)), "takes 2 or 3 parameters"),
+        (("cycle", (5.7,)), "must be an integer"),
+        (("random_gnp", (5.5, 0.5)), "must be an integer"),
+        (("random_gnp", (5, 0.5, 0.25)), "must be an integer"),
     ],
 )
 def test_generate_checks_arity_and_integral_counts(spec, message):
     with pytest.raises(ValueError, match=message):
-        generate(spec)
+        generate(*spec)
 
 
 def test_generate_accepts_integral_floats():
-    assert generate(FamilySpec("cycle", (5.0,))) == cycle(5)
-    assert generate(FamilySpec("random_gnp", (6.0, 0.5))) == random_gnp(6, 0.5)
+    assert generate("cycle", (5.0,)) == cycle(5)
+    assert generate("random_gnp", (6.0, 0.5)) == random_gnp(6, 0.5)
 
 
 def test_random_gnp_is_seeded():

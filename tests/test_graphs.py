@@ -153,6 +153,8 @@ def test_is_path_and_induced():
     assert is_induced_path(tri, (0, 1))
     assert not is_path(tri, ())
     assert not is_path(tri, (0, 0))
+    assert not is_induced_path(c5, (0, 2))  # 0 and 2 are not adjacent
+    assert not is_induced_path(c5, (0, 1, 0))
     with pytest.raises(ValueError):
         is_induced_path(tri, (0, 9))
 

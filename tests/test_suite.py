@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pathecc.suite
+from pathecc.central_path import Dichotomy
 from pathecc.families import (
     clique,
     cycle,
@@ -22,6 +23,7 @@ from pathecc.star_c1p import OrderingWitness
 from pathecc.suite import (
     PROPERTIES,
     _GraphCase,
+    _prop_dichotomy,
     _prop_order_lemma,
     _prop_path_neighborhood,
     _worker_count,
@@ -31,9 +33,7 @@ from pathecc.suite import (
 
 
 def test_theorem4_on_5_vertex_corpus():
-    report = run_property_suite(
-        enumerate_connected(5), ["theorem4"], corpus_name="exhaustive:5"
-    )
+    report = run_property_suite(enumerate_connected(5), ["theorem4"])
     (res,) = report.results
     assert res.property_id == "theorem4"
     assert res.checked == 21 and res.skipped == 0
@@ -76,7 +76,7 @@ def test_unknown_property_rejected():
 
 def test_all_properties_on_tiny_corpus():
     corpus = [g for n in (1, 2, 3, 4) for g in enumerate_connected(n)]
-    report = run_property_suite(corpus, PROPERTIES.keys(), corpus_name="exhaustive:<=4")
+    report = run_property_suite(corpus, PROPERTIES.keys())
     for res in report.results:
         if res.property_id == "star_c1p_exists":
             continue  # not a theorem, just a probe
@@ -86,8 +86,8 @@ def test_all_properties_on_tiny_corpus():
 
 def test_report_is_deterministic():
     corpus = list(enumerate_connected(4))
-    r1 = run_property_suite(corpus, ["theorem3", "theorem4"], corpus_name="x")
-    r2 = run_property_suite(corpus, ["theorem3", "theorem4"], corpus_name="x")
+    r1 = run_property_suite(corpus, ["theorem3", "theorem4"])
+    r2 = run_property_suite(corpus, ["theorem3", "theorem4"])
     assert r1.results == r2.results
 
 
@@ -119,10 +119,10 @@ def test_parallel_run_matches_sequential():
     # C5 has no ordering witness, a violation of star_c1p_exists
     corpus = list(enumerate_connected(5))
     corpus += [Graph.from_edges(4, [(0, 1), (2, 3)]), path_graph(17), cycle(5)]
-    seq = run_property_suite(corpus, PROPERTIES, corpus_name="x")
+    seq = run_property_suite(corpus, PROPERTIES)
     os.environ["CPK_THREADS"] = "2"
     try:
-        par = run_property_suite(corpus, PROPERTIES, corpus_name="x")
+        par = run_property_suite(corpus, PROPERTIES)
     finally:
         del os.environ["CPK_THREADS"]
     assert seq.results == par.results
@@ -151,7 +151,7 @@ def test_mixed_corpus_report_and_hunt_are_pinned(monkeypatch, threads):
     else:
         monkeypatch.setenv("CPK_THREADS", threads)
     corpus = _mixed_corpus()
-    report = run_property_suite(corpus, PROPERTIES, corpus_name="mixed")
+    report = run_property_suite(corpus, PROPERTIES)
     hunt = hunt_conjecture(corpus)
     counts = {r.property_id: (r.checked, r.skipped, len(r.violations)) for r in report.results}
     for pid in ("theorem1", "theorem3", "corollary", "dichotomy"):
@@ -174,6 +174,15 @@ def test_rank_lemma_properties_name_the_first_failure():
     case = _GraphCase(path_graph(4))
     case.star = OrderingWitness((0, 1, 3, 2), frozenset())
     assert _prop_path_neighborhood(case) == "rank bounds fail for path (0, 1) and vertex 3"
+
+
+@pytest.mark.parametrize("path", [(0,), (0, 2)], ids=["too-far", "not-a-path"])
+def test_dichotomy_rescores_the_returned_path(monkeypatch, path):
+    # P5 has a path of eccentricity <= 1, so the decision oracle alone agrees
+    monkeypatch.setattr(
+        pathecc.suite, "find_k_dominating_path_or_witness", lambda g, k: Dichotomy(path=path)
+    )
+    assert _prop_dichotomy(_GraphCase(path_graph(5))) == "k=1: path fails re-verification"
 
 
 def test_hunt_small_corpora_find_nothing():
