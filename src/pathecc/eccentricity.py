@@ -12,6 +12,11 @@ by the number of simple paths, and most of those states are pruned: a path
 that leaves its last vertex enters one component of the unvisited vertices
 and never leaves it, so a branch goes on only while the path plus one such
 component could still beat the bound, which never cuts off an optimal path.
+When the bound asks for eccentricity 0, a path through every vertex, a
+branch also ends when the unvisited vertices hold an independent set of
+more than half of them, rounded up: a path on m vertices holds at most
+ceil(m/2) vertices of any independent set (the S = V - I case of Chvatal's
+toughness condition, "Tough graphs and Hamiltonian circuits", 1973).
 """
 
 from __future__ import annotations
@@ -66,8 +71,17 @@ def _first_best_path(
     inside it, as C is cut off from the other unvisited vertices, so its
     vertex set lies within path + C and it cannot beat the bound either.
 
+    When ``limit`` is 1 only a path through every vertex beats it, so a
+    branch is also abandoned when a greedy independent set I of the
+    unvisited vertices F has 2|I| > |F| + 1.  This is sound: the rest of
+    such a path is a path on exactly F, and a path on m vertices holds at
+    most ceil(m/2) vertices of an independent set.  The greedy scan takes
+    the vertices in one order per call, ascending degree in g with ties
+    broken by index, so I, like the component prune, depends only on the
+    vertex set.
+
     A branch is also abandoned when its state (vertex set, last vertex) was
-    entered before.  The prune depends only on the state and ``limit``, so
+    entered before.  The prunes depend only on the state and ``limit``, so
     the repeat can add nothing a plain exhaustive scan would report, and
     the witness is still the first one in lexicographic order:
 
@@ -87,6 +101,7 @@ def _first_best_path(
     n = g.n
     full = (1 << n) - 1
     entered = bytearray(n << n)  # one flag per (pmask, v) state
+    order = sorted(range(n), key=lambda u: (masks[u].bit_count(), u))
 
     # limit > stop >= 0 while the search runs, so limit - 1 is a real layer
     # bound, never the -1 of an unbounded sweep: limit - 1 layers reach
@@ -115,6 +130,13 @@ def _first_best_path(
                 rest &= ~comp
             if not rest:
                 return False
+            if limit == 1:  # the rest of the path must visit all of free
+                indep = 0
+                for u in order:
+                    if free >> u & 1 and not masks[u] & indep:
+                        indep |= 1 << u
+                if 2 * indep.bit_count() > free.bit_count() + 1:
+                    return False
             for y in _bits(masks[v] & free):
                 if extend(y, pmask):
                     return True

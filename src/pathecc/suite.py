@@ -273,11 +273,13 @@ def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
     """Look for a connected graph with an ordering witness yet pe >= 2.
 
     Each witnessed graph is decided by the early-exit search for a path of
-    eccentricity <= 1; only a hit pays for ``pe_exact``, which fills in the
-    value and path reported.  The first hit is re-verified on both sides
-    before being reported; finding none leaves the conjectured bound
-    standing on the graphs that were checked.  Graphs outside either
-    domain (empty, oversized or disconnected) are counted as skipped.
+    eccentricity <= 1; ``pe_exact`` runs only when that search finds no
+    path, to fill in the value and path reported.  Such a counterexample is
+    re-verified on both sides before being reported, and a failed
+    re-verification raises :class:`RuntimeError`; finding none leaves the
+    conjectured bound standing on the graphs that were checked.  Graphs
+    outside either domain (empty, oversized or disconnected) are counted as
+    skipped.
     """
     searched = 0
     skipped = 0
@@ -294,11 +296,18 @@ def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
         with_witness += 1
         if has_path_with_ecc_at_most(g, 1) is None:
             result = pe_exact(g)
-            assert verify_witness(g, witness) and result.value >= 2
+            graph6 = emit_graph6(g)
+            if not verify_witness(g, witness):
+                raise RuntimeError(f"ordering witness of {graph6} fails re-verification")
+            if result.value < 2:
+                raise RuntimeError(
+                    f"the pe <= 1 search missed {result.witness} of {graph6}, "
+                    f"whose eccentricity is {result.value}"
+                )
             return HuntResult(
                 searched,
                 with_witness,
-                Counterexample(emit_graph6(g), witness, result.value, result.witness),
+                Counterexample(graph6, witness, result.value, result.witness),
                 skipped,
             )
     return HuntResult(searched, with_witness, None, skipped)

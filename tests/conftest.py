@@ -312,6 +312,11 @@ def reference_canonical_key(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """The graph with each vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def seeded_connected_gnp(n: int, seed: int, p: Optional[float] = None) -> Graph:
     """First connected draw of G(n, p) from a seeded generator; p is 3/n by default."""
     import random

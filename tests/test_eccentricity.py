@@ -13,6 +13,7 @@ from conftest import (
     brute_pe,
     graph_strategy,
     path_ecc_oracle,
+    relabel,
     seeded_connected_gnp,
 )
 import pathecc.eccentricity as eccentricity
@@ -241,11 +242,57 @@ def _expanded_states(monkeypatch, g: Graph, k: int):
     return has_path_with_ecc_at_most(g, k), len(calls)
 
 
+def _three_triangles() -> Graph:
+    """Three triangles sharing vertex 0: pe 1, and the independent-set bound
+    never refutes a path through every vertex there."""
+    return Graph.from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
+    )
+
+
 def test_prune_per_component_cuts_expanded_states(monkeypatch):
     assert _expanded_states(monkeypatch, subdivided_claw(2), 1) == (None, 9)
+    g = _three_triangles()
+    assert pe_exact(g).value == 1
+    assert _expanded_states(monkeypatch, g, 0) == (None, 12)
+
+
+def test_independent_set_bound_cuts_expanded_states(monkeypatch):
+    """On 4+8 vertices no path visits every vertex: every start leaves 11
+    unvisited vertices, whose greedy independent set holds the 7 or 8 left
+    of the larger part, and 2 * 7 > 11 + 1, so every branch ends before
+    expanding (2309 states without the bound)."""
     g = dense_bipartite(4, 8, 27, 0)
     assert pe_exact(g).value == 1
-    assert _expanded_states(monkeypatch, g, 0) == (None, 2309)
+    assert _expanded_states(monkeypatch, g, 0) == (None, 0)
+
+
+def _bound_firing_graphs() -> list[Graph]:
+    """Seeded, relabelled graphs with n <= 9 where the independent-set bound
+    fires: bipartite graphs whose parts differ by at least 2, and trees."""
+    rng = random.Random(20261019)
+    graphs = []
+    for a, b in [(1, 3), (1, 5), (2, 4), (2, 5), (2, 7), (3, 5), (3, 6)]:
+        for _ in range(4):
+            keep = rng.randint(a + b - 1, a * b)
+            graphs.append(dense_bipartite(a, b, keep, rng.randrange(1 << 30)))
+    for n in range(2, 10):
+        for _ in range(4):
+            graphs.append(Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    return [relabel(g, rng.sample(range(g.n), g.n)) for g in graphs]
+
+
+def test_independent_set_bound_changes_no_answer():
+    """Differential check against the unpruned oracles where the bound fires:
+    the value, the first witness and every decision answer around it."""
+    for g in _bound_firing_graphs():
+        value, witness = brute_pe(g)
+        assert pe_exact(g) == PeResult(value, witness)
+        for k in range(value + 2):
+            first = next(
+                (p for p in all_simple_paths(g) if path_ecc_oracle(g, p) <= k), None
+            )
+            assert has_path_with_ecc_at_most(g, k) == first
 
 
 # n = 14..16: bipartite graphs keeping ~85% of the edges between parts too

@@ -12,6 +12,7 @@ from conftest import (
     reference_all_graphs_upto_iso,
     reference_canonical_key,
     reference_extend,
+    relabel,
 )
 import pathecc.families as families
 from pathecc.families import (
@@ -218,8 +219,7 @@ def test_graph6_malformed(line):
 
 def test_canonical_key_is_isomorphism_invariant():
     g = fig_biconvex()
-    relabel = {0: 3, 1: 0, 2: 6, 3: 2, 4: 5, 5: 1, 6: 4}
-    h = Graph.from_edges(7, [(relabel[u], relabel[v]) for u, v in g.edges()])
+    h = relabel(g, [3, 0, 6, 2, 5, 1, 4])
     assert canonical_key(g) == canonical_key(h)
     assert canonical_key(g) != canonical_key(cycle(7))
 
@@ -368,10 +368,6 @@ def _cert(g):
     return _certificate(g.adj_masks, g.n)
 
 
-def _relabel(g, perm):
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _nx(g):
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
@@ -392,7 +388,7 @@ def test_certificate_is_invariant_under_seeded_relabellings():
         g = random_gnp(n, rng.random(), seed=trial)
         perm = list(range(n))
         rng.shuffle(perm)
-        h = _relabel(g, perm)
+        h = relabel(g, perm)
         assert nx.is_isomorphic(_nx(g), _nx(h))
         assert _cert(g) == _cert(h)
 
@@ -442,7 +438,7 @@ def test_certificate_on_symmetric_graphs_of_order_9():
     for g in named:
         perm = list(range(9))
         rng.shuffle(perm)
-        assert _cert(g) == _cert(_relabel(g, perm))
+        assert _cert(g) == _cert(relabel(g, perm))
     for i, g in enumerate(named):
         for h in named[i + 1 :]:
             assert (_cert(g) == _cert(h)) == nx.is_isomorphic(_nx(g), _nx(h))

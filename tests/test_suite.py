@@ -243,6 +243,18 @@ def test_hunt_runs_pe_exact_only_on_a_hit(monkeypatch):
     assert ce.pe_witness == real(claw).witness
 
 
+def test_hunt_raises_when_a_counterexample_fails_re_verification(monkeypatch):
+    """A pe <= 1 search that misses, or a witness that does not re-verify,
+    raises rather than being reported; ``python -O`` cannot strip the check."""
+    g = fig_example_c()  # witnessed, pe <= 1
+    monkeypatch.setattr(pathecc.suite, "has_path_with_ecc_at_most", lambda g, k: None)
+    with pytest.raises(RuntimeError, match="missed"):
+        hunt_conjecture([g])
+    monkeypatch.setattr(pathecc.suite, "verify_witness", lambda g, w: False)
+    with pytest.raises(RuntimeError, match="ordering witness"):
+        hunt_conjecture([g])
+
+
 def test_worker_count_from_environment(monkeypatch):
     monkeypatch.delenv("CPK_THREADS", raising=False)
     assert _worker_count() == 1
