@@ -142,13 +142,15 @@ def find_k_at(g: Graph, k: int) -> Optional[KatWitness]:
 
     The triple comes from the component labels; its paths come from
     :func:`is_k_at`, so the witness equals what scanning every triple with
-    :func:`is_k_at` would return first.
+    :func:`is_k_at` would return first.  Should the two disagree on the
+    triple, :class:`RuntimeError` is raised.
     """
     trip = _first_k_at_triple(g, k)
     if trip is None:
         return None
     w = is_k_at(g, trip, k)
-    assert w is not None, f"component labels disagree with is_k_at on {trip}"
+    if w is None:
+        raise RuntimeError(f"component labels disagree with is_k_at on {trip}")
     return w
 
 

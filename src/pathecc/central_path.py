@@ -143,7 +143,8 @@ def _end_step(
     cands = layer & ~cov_rest if depth == k else 0
     if not cands:
         # the extremity's distance-k ball is already covered by the rest
-        assert _cover_mask(g, p, k) == cov_rest
+        if _cover_mask(g, p, k) != cov_rest:
+            raise _step_failed(g, k, p, f"trimming {u} loses coverage")
         return Shortened(rest)
     off_wa = cands & ~_cover_mask(g, path_wa, k)
     if off_wa:
@@ -181,7 +182,8 @@ def _step(g: Graph, k: int, p: tuple[int, ...], w: int) -> ImproveResult:
     """
     a = _nearest(g, w, sorted(p))
     path_wa = _shortest_path(g, w, a)
-    assert set(path_wa) & set(p) == {a}
+    if set(path_wa) & set(p) != {a}:
+        raise _step_failed(g, k, p, f"the connector from {w} meets the path off {a}")
     u, v = p[0], p[-1]
 
     # the connector lands on an extremity: prepend or append it outright
@@ -250,11 +252,13 @@ def _cover(g: Graph, k: int, p: tuple[int, ...], cov: int, trace: TraceSink) -> 
         step = _step(g, k, p, w)
         if isinstance(step, ImprovedPath):
             new_cov = _cover_mask(g, step.path, k)
-            assert new_cov & cov == cov and new_cov != cov and set(p) <= set(step.path)
+            if not (new_cov & cov == cov and new_cov != cov and set(p) <= set(step.path)):
+                raise _step_failed(g, k, p, "an extension drops a vertex or grows no coverage")
             p, cov = step.path, new_cov
             _trace(trace, "improved", cov.bit_count(), len(p), w)
         elif isinstance(step, Shortened):
-            assert _cover_mask(g, step.path, k) == cov and len(step.path) < len(p)
+            if not (_cover_mask(g, step.path, k) == cov and len(step.path) < len(p)):
+                raise _step_failed(g, k, p, "shortening changes the coverage or keeps the length")
             p = step.path
             _trace(trace, "shortened", cov.bit_count(), len(p), w)
         else:

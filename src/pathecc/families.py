@@ -320,8 +320,6 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     as one integer per position.
     """
     n = g.n
-    if n == 0:
-        return ()
     masks = g.adj_masks
     twins = _twin_masks(masks)
     best: Optional[list[int]] = None

@@ -239,13 +239,13 @@ def pq_reduce(t: PQTree, s: int) -> Optional[PQTree]:
     """Constrain the tree so the rows of the mask s are consecutive in every frontier.
 
     Bit r of s stands for row r.  Returns the reduced tree, or None when no
-    frontier of t keeps s consecutive.  A one-row or all-row mask is
-    consecutive in every frontier, so t itself comes back.  The input tree
-    is never modified.
+    frontier of t keeps s consecutive.  An empty, one-row or all-row mask
+    is consecutive in every frontier, so t itself comes back.  The input
+    tree is never modified.
     """
     leaves = t.root.leaves
-    if s <= 0:
-        raise ValueError(f"cannot reduce by an empty or negative row mask {s}")
+    if s < 0:
+        raise ValueError(f"cannot reduce by a negative row mask {s}")
     if s & ~leaves:
         raise ValueError(f"unknown rows in constraint: {_bits(s & ~leaves)}")
     if s & (s - 1) == 0 or s == leaves:
@@ -295,18 +295,19 @@ def is_c1p_order(m: BinaryMatrix, perm: Sequence[int]) -> bool:
 def has_c1p(m: BinaryMatrix) -> Optional[tuple[int, ...]]:
     """A row permutation witnessing the consecutive ones property, or None.
 
-    Builds the universal tree and reduces by each nonempty column's 1-set,
-    widest columns first so infeasible instances fail fast.
+    Builds the universal tree and reduces by each column's 1-set, widest
+    columns first so infeasible instances fail fast.  The permutation is
+    re-checked against every column before it is returned; a failed check
+    raises :class:`RuntimeError`.
     """
     tree = PQTree.universal(m.rows)
     columns = _columns(m)
     for ones in sorted(columns, key=int.bit_count, reverse=True):
-        if not ones:
-            continue
         reduced = pq_reduce(tree, ones)
         if reduced is None:
             return None
         tree = reduced
     perm = frontier(tree)
-    assert _all_blocks(columns, perm), "PQ-tree produced a non-witnessing order"
+    if not _all_blocks(columns, perm):
+        raise RuntimeError("PQ-tree produced a non-witnessing order")
     return perm

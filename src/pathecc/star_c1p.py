@@ -94,7 +94,9 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     its vertex's column when it is taken up, and a failed reduction prunes
     the whole assignment subtree.  Disconnected inputs are fine.  Among the
     orders the final tree admits, the lexicographically smallest frontier
-    is reported, reversed if that places vertex 0 in the upper half.
+    is reported, reversed if that places vertex 0 in the upper half.  The
+    witness is re-verified before it is returned; a failed check raises
+    :class:`RuntimeError`.
     """
     if g.n > MAX_N:
         raise ValueError(f"find_star_c1p is limited to n <= {MAX_N}, got n={g.n}")
@@ -102,15 +104,13 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
         raise ValueError("find_star_c1p needs at least one vertex")
     n = g.n
     # (vertices decided, tree before the last one's column, diagonal, column);
-    # the start has decided nothing and has no column to reduce by
+    # the start has decided nothing, so its column is empty
     stack = [(0, PQTree.universal(n), 0, 0)]
     while stack:
         v, tree, diag, column = stack.pop()
-        if column:  # an isolated vertex's open column is empty
-            reduced = pq_reduce(tree, column)
-            if reduced is None:
-                continue
-            tree = reduced
+        tree = pq_reduce(tree, column)
+        if tree is None:
+            continue
         if v == n:
             break
         nb = g.adj_masks[v]
@@ -128,7 +128,8 @@ def find_star_c1p(g: Graph) -> Optional[OrderingWitness]:
     for rank, v in enumerate(order):
         mu[v] = rank
     witness = OrderingWitness(tuple(mu), frozenset(_bits(diag)))
-    assert verify_witness(g, witness)
+    if not verify_witness(g, witness):
+        raise RuntimeError(f"ordering witness {witness} fails re-verification")
     return witness
 
 

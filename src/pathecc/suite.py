@@ -9,9 +9,10 @@ Which graphs a property covers is decided once, in ``_eval_graph``: the pe
 properties (theorem1, theorem3, corollary, dichotomy) cover connected graphs
 with 0 < n <= eccentricity.MAX_N, the witness properties (all others) cover
 graphs with 0 < n <= star_c1p.MAX_N, connected or not, and the hunt covers
-the graphs in both domains.  Other graphs count as skipped.  A witness
-property passes a graph with no ordering witness; only the star_c1p_exists
-probe reports it.
+the graphs in both domains.  Other graphs count as skipped.  The same
+step decides that a witness statement (``_WITNESS_STATEMENTS``) passes an
+unwitnessed graph: such a graph counts as checked and the statement is not
+called.  Only the star_c1p_exists probe reports it.
 """
 
 from __future__ import annotations
@@ -122,8 +123,6 @@ def _prop_theorem3(case: _GraphCase):
 
 
 def _prop_theorem4(case: _GraphCase):
-    if case.star is None:
-        return None
     kat = find_k_at(case.g, 2)
     if kat is not None:
         return f"ordering witness exists alongside 2-AT {kat.triple}"
@@ -131,14 +130,12 @@ def _prop_theorem4(case: _GraphCase):
 
 
 def _prop_corollary(case: _GraphCase):
-    if case.star is not None and case.pe > 2:
+    if case.pe > 2:
         return f"ordering witness exists but pe={case.pe}"
     return None
 
 
 def _prop_c5_free(case: _GraphCase):
-    if case.star is None:
-        return None
     cyc = find_long_induced_cycle(case.g, 5)
     if cyc is not None:
         return f"ordering witness exists alongside induced cycle {cyc}"
@@ -146,15 +143,11 @@ def _prop_c5_free(case: _GraphCase):
 
 
 def _prop_order_lemma(case: _GraphCase):
-    if case.star is None:
-        return None
     p = check_order_lemma(case.g, case.star)
     return None if p is None else f"order conditions fail on induced path {p}"
 
 
 def _prop_path_neighborhood(case: _GraphCase):
-    if case.star is None:
-        return None
     bad = check_path_neighborhood(case.g, case.star)
     return None if bad is None else "rank bounds fail for path {} and vertex {}".format(*bad)
 
@@ -201,6 +194,8 @@ PROPERTIES: dict[str, Callable[[_GraphCase], Optional[str]]] = {
 
 # properties on the exact pe oracle; every other property is on the witness search
 _PE_PROPERTIES = frozenset({"theorem1", "theorem3", "corollary", "dichotomy"})
+# statements about graphs with an ordering witness, which an unwitnessed graph passes
+_WITNESS_STATEMENTS = frozenset({"theorem4", "corollary", "c5_free", "order_lemma", "path_neighborhood"})
 
 
 def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, bool, Optional[str]]]:
@@ -210,7 +205,8 @@ def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, bool, Op
     rows = []
     for pid in prop_ids:
         inside = case.in_pe_domain if pid in _PE_PROPERTIES else case.in_witness_domain
-        rows.append((pid, inside, PROPERTIES[pid](case) if inside else None))
+        runs = inside and (pid not in _WITNESS_STATEMENTS or case.star is not None)
+        rows.append((pid, inside, PROPERTIES[pid](case) if runs else None))
     return rows
 
 

@@ -227,6 +227,12 @@ def _count_labellings(monkeypatch) -> list[int]:
     return calls
 
 
+def test_find_k_at_raises_when_is_k_at_rejects_the_labelled_triple(monkeypatch):
+    monkeypatch.setattr(asteroidal, "is_k_at", lambda g, triple, k: None)
+    with pytest.raises(RuntimeError, match=r"disagree with is_k_at on \(2, 4, 6\)"):
+        find_k_at(subdivided_claw(2), 1)
+
+
 def test_find_k_at_labels_isolated_vertices_never(monkeypatch):
     calls = _count_labellings(monkeypatch)
     assert find_k_at(Graph.from_edges(3000, []), 1) is None

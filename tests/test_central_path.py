@@ -212,6 +212,19 @@ def test_certificate_in_path_loop_raises():
         _cover(g, 1, p, _cover_mask(g, p, 1), None)
 
 
+def test_a_step_without_progress_raises(monkeypatch):
+    """A step that neither grows the coverage nor shortens the path would
+    loop forever; the loop names the graph instead."""
+    import pathecc.central_path
+    from pathecc.central_path import _cover, _cover_mask
+
+    monkeypatch.setattr(pathecc.central_path, "_step", lambda g, k, p, w: Shortened(p))
+    g = subdivided_claw(2)
+    p = greedy_seed_path(g)
+    with pytest.raises(RuntimeError, match=r"keeps the length\) on graph6 FkE\?G"):
+        _cover(g, 1, p, _cover_mask(g, p, 1), None)
+
+
 def test_proof_mode_steps_are_sound(connected_upto_5):
     # the paper's step alone: improve until covered or a k-AT is read off
     for g in connected_upto_5:

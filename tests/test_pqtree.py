@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_c1p, matrix_strategy
+import pathecc.pqtree
 from pathecc.families import FIG_A_ADJACENCY, FIG_B_AUGMENTED, FIG_C_PARTIAL
 from pathecc.pqtree import (
     BinaryMatrix,
@@ -102,9 +103,9 @@ def test_reduce_chain_then_contradiction():
 
 def test_reduce_errors():
     t = PQTree.universal(3)
-    with pytest.raises(ValueError, match="empty or negative row mask 0"):
-        pq_reduce(t, 0)
-    with pytest.raises(ValueError, match="empty or negative row mask -3"):
+    # an empty column is consecutive in every frontier
+    assert pq_reduce(t, 0) is t
+    with pytest.raises(ValueError, match="negative row mask -3"):
         pq_reduce(t, -3)
     with pytest.raises(ValueError, match=r"unknown rows in constraint: \[3, 7\]"):
         pq_reduce(t, mask({0, 7, 3}))
@@ -162,6 +163,18 @@ def test_is_c1p_order_rejects_a_non_permutation():
 def test_has_c1p_identity_matrix():
     ident = BinaryMatrix.from_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])
     assert has_c1p(ident) is not None
+
+
+def test_has_c1p_ignores_empty_columns():
+    m = BinaryMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    padded = BinaryMatrix.from_rows([[0, *row[:2], 0, row[2], 0] for row in m.bits])
+    assert has_c1p(padded) == has_c1p(m) is not None
+
+
+def test_has_c1p_raises_when_its_order_fails_the_recheck(monkeypatch):
+    monkeypatch.setattr(pathecc.pqtree, "_all_blocks", lambda columns, perm: False)
+    with pytest.raises(RuntimeError, match="non-witnessing order"):
+        has_c1p(BinaryMatrix.from_rows([[1, 0], [1, 1], [0, 1]]))
 
 
 def test_has_c1p_known_negative():

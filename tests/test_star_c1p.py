@@ -12,6 +12,7 @@ from conftest import (
     reference_order_lemma,
     reference_path_neighborhood,
 )
+import pathecc.star_c1p
 from pathecc.asteroidal import find_k_at
 from pathecc.families import (
     FIG_C_DIAGONAL,
@@ -82,9 +83,16 @@ def test_find_star_c1p_trivial():
 
 
 def test_find_star_c1p_disconnected_ok():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    w = find_star_c1p(g)
-    assert w is not None and verify_witness(g, w)
+    # in the second graph, isolated vertices 0, 3 and 5 have empty open columns
+    for g in (Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(6, [(1, 2), (2, 4), (1, 4)])):
+        w = find_star_c1p(g)
+        assert w is not None and verify_witness(g, w)
+
+
+def test_find_star_c1p_raises_when_its_witness_fails_the_recheck(monkeypatch):
+    monkeypatch.setattr(pathecc.star_c1p, "verify_witness", lambda g, w: False)
+    with pytest.raises(RuntimeError, match="fails re-verification"):
+        find_star_c1p(path_graph(4))
 
 
 def test_find_star_c1p_size_guard():

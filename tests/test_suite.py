@@ -165,6 +165,16 @@ def test_mixed_corpus_report_and_hunt_are_pinned(monkeypatch, threads):
 
 def test_pe_properties_are_registered():
     assert pathecc.suite._PE_PROPERTIES <= PROPERTIES.keys()
+    assert pathecc.suite._WITNESS_STATEMENTS <= PROPERTIES.keys() - {"star_c1p_exists"}
+
+
+def test_witness_statements_pass_an_unwitnessed_graph_uncalled(monkeypatch):
+    def called(case):
+        raise AssertionError("theorem4 ran on a graph with no ordering witness")
+
+    monkeypatch.setitem(PROPERTIES, "theorem4", called)
+    (res,) = run_property_suite([cycle(5)], ["theorem4"]).results
+    assert (res.checked, res.skipped, res.violations) == (1, 0, ())
 
 
 def test_rank_lemma_properties_name_the_first_failure():
