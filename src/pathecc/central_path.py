@@ -54,6 +54,10 @@ class Dichotomy:
     path: Optional[tuple[int, ...]] = None
     witness: Optional[KatWitness] = None
 
+    def __post_init__(self) -> None:
+        if (self.path is None) == (self.witness is None):
+            raise ValueError("a Dichotomy holds exactly one of a path and a witness")
+
 
 TraceSink = Optional[list]
 

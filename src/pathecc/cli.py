@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import traceback
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import eccentricity, star_c1p
 from .asteroidal import KatWitness, find_k_at, is_k_at, min_k_at_free
@@ -76,34 +76,34 @@ def _load_graph(
         raise ValueError(f"not a file and not a graph6 line: {arg!r} ({exc})") from exc
 
 
-def _load_corpus(arg: str) -> list[Graph]:
+def _load_corpus(arg: str) -> Iterator[Graph]:
     if arg.startswith("exhaustive:"):
         try:
             n = int(arg.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"corpus {arg!r}: N in 'exhaustive:N' must be an integer") from None
-        return list(enumerate_connected(n))
-    if arg.startswith("gen:"):
+        yield from enumerate_connected(n)
+    elif arg.startswith("gen:"):
         parts = arg.split(":")
         try:
             params = tuple(float(x) for x in parts[2:])
         except ValueError:
             raise ValueError(f"corpus {arg!r}: the params in 'gen:family:params' "
                              f"must be numbers") from None
-        return [generate(parts[1], params)]
-    if os.path.exists(arg):
-        graphs = []
+        yield generate(parts[1], params)
+    elif os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
             for lineno, ln in enumerate(fh, start=1):
                 if ln.strip():
                     try:
-                        graphs.append(parse_graph6(ln))
+                        g = parse_graph6(ln)
                     except ValueError as exc:
                         raise ValueError(f"{arg}:{lineno}: {exc}") from exc
-        return graphs
-    raise ValueError(
-        f"corpus {arg!r} is neither a file, 'exhaustive:N', nor 'gen:family:params'"
-    )
+                    yield g
+    else:
+        raise ValueError(
+            f"corpus {arg!r} is neither a file, 'exhaustive:N', nor 'gen:family:params'"
+        )
 
 
 def _kat_json(w: Optional[KatWitness]) -> Optional[dict]:

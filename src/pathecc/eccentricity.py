@@ -162,7 +162,8 @@ def pe_exact(g: Graph) -> PeResult:
     _check_search_input(g, "pe_exact")
     # n + 1 admits every path (eccentricities are below n); 0 cannot be beaten
     value, witness = _first_best_path(g, g.n + 1, 0)
-    assert witness is not None
+    if witness is None:
+        raise RuntimeError(f"the pe search admitted every path of {g!r} yet returned none")
     return PeResult(value, witness)
 
 

@@ -518,7 +518,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     a disconnected parent); level n is built connected-only by
     :func:`_extend`.  The graphs and their order, hence the graph6 bytes,
     are those of filtering :func:`_all_graphs_upto_iso` by connectivity.
-    Larger corpora are meant to be supplied externally as graph6 files.
+    Larger corpora are meant to be supplied as graph6 files, which are streamed.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(

@@ -2,8 +2,9 @@
 
 Every property is a pure check over one graph (a violation message or None);
 the runner evaluates the enabled set over a corpus and assembles a
-deterministic report.  Set CPK_THREADS to evaluate graphs in parallel;
-results are merged in corpus order either way, so reports are stable.
+deterministic report.  The runner and the hunt take each graph as it arrives
+and never hold the whole corpus.  Set CPK_THREADS to evaluate graphs in
+parallel; results are merged in corpus order either way, so reports are stable.
 
 Which graphs a property covers is decided once, in ``_eval_graph``: the pe
 properties (theorem1, theorem3, corollary, dichotomy) cover connected graphs
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from functools import cached_property, partial
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import eccentricity, star_c1p
 from .asteroidal import find_k_at, min_k_at_free, verify_kat
@@ -170,12 +173,10 @@ def _prop_dichotomy(case: _GraphCase):
                 return f"k={k}: path fails re-verification"
             if has_path_with_ecc_at_most(g, k) is None:
                 return f"k={k}: path returned but decision oracle disagrees"
-        else:
-            assert d.witness is not None
-            if want_path:
-                return f"k={k}: witness returned although graph is {k}-AT-free"
-            if not verify_kat(g, d.witness):
-                return f"k={k}: witness fails re-verification"
+        elif want_path:
+            return f"k={k}: witness returned although graph is {k}-AT-free"
+        elif not verify_kat(g, d.witness):
+            return f"k={k}: witness fails re-verification"
     return None
 
 
@@ -198,23 +199,21 @@ _PE_PROPERTIES = frozenset({"theorem1", "theorem3", "corollary", "dichotomy"})
 _WITNESS_STATEMENTS = frozenset({"theorem4", "corollary", "c5_free", "order_lemma", "path_neighborhood"})
 
 
-def _eval_graph(args: tuple[Graph, tuple[str, ...]]) -> list[tuple[str, bool, Optional[str]]]:
-    """(pid, inside, violation) per property; a property runs only inside its domain."""
-    g, prop_ids = args
+def _eval_graph(prop_ids: tuple[str, ...], g: Graph) -> list[tuple[str, bool, Optional[tuple[str, str]]]]:
+    """(pid, inside, (graph6, details) or None) per property, run only inside its domain."""
     case = _GraphCase(g)
     rows = []
     for pid in prop_ids:
         inside = case.in_pe_domain if pid in _PE_PROPERTIES else case.in_witness_domain
         runs = inside and (pid not in _WITNESS_STATEMENTS or case.star is not None)
-        rows.append((pid, inside, PROPERTIES[pid](case) if runs else None))
+        details = PROPERTIES[pid](case) if runs else None
+        rows.append((pid, inside, None if details is None else (emit_graph6(g), details)))
     return rows
 
 
 def _worker_count() -> int:
     """Worker processes from CPK_THREADS: 1 when unset, else a positive integer."""
-    raw = os.environ.get("CPK_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("CPK_THREADS", "1")
     try:
         workers = int(raw)
     except ValueError:
@@ -222,6 +221,20 @@ def _worker_count() -> int:
     if workers < 1:
         raise ValueError(f"CPK_THREADS must be a positive integer, got {raw!r}")
     return workers
+
+
+def _pooled_rows(evaluate: Callable, corpus: Iterable[Graph], workers: int) -> Iterator[list]:
+    """Rows in corpus order from chunks of 16 graphs, at most two per worker in
+    flight: no copy of the corpus, and a worker that dies raises BrokenProcessPool."""
+    from concurrent.futures import ProcessPoolExecutor  # only CPK_THREADS > 1 pays for it
+    graphs = iter(corpus)
+    with ProcessPoolExecutor(workers) as pool:
+        chunks = iter(lambda: list(islice(graphs, 16)), [])  # ends with the corpus
+        futures = (pool.map(evaluate, chunk, chunksize=16) for chunk in chunks)
+        window = deque(islice(futures, 2 * workers))
+        while window:
+            yield from window.popleft()
+            window.extend(islice(futures, 1))
 
 
 def run_property_suite(corpus: Iterable[Graph], properties: Iterable[str]) -> PropertyReport:
@@ -235,29 +248,14 @@ def run_property_suite(corpus: Iterable[Graph], properties: Iterable[str]) -> Pr
     if unknown:
         raise ValueError(f"unknown properties: {unknown}")
     start = time.monotonic()
-    graphs = list(corpus)
-    jobs = [(g, prop_ids) for g in graphs]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        # imported here: multiprocessing costs every other run its import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_graph, jobs, chunksize=16))
-    else:
-        rows = [_eval_graph(job) for job in jobs]
-
-    checked = {pid: 0 for pid in prop_ids}
-    skipped = {pid: 0 for pid in prop_ids}
-    violations: dict[str, list[tuple[str, str]]] = {pid: [] for pid in prop_ids}
-    for g, row in zip(graphs, rows):
-        for pid, inside, violation in row:
-            if not inside:
-                skipped[pid] += 1
-                continue
-            checked[pid] += 1
+    checked, skipped, violations = Counter(), Counter(), defaultdict(list)
+    evaluate, workers = partial(_eval_graph, prop_ids), _worker_count()
+    rows = map(evaluate, corpus) if workers == 1 else _pooled_rows(evaluate, corpus, workers)
+    for row in rows:
+        for pid, inside, violation in row:  # only a graph inside has a violation
+            (checked if inside else skipped)[pid] += 1
             if violation is not None:
-                violations[pid].append((emit_graph6(g), violation))
+                violations[pid].append(violation)
     results = tuple(
         PropertyResult(pid, checked[pid], skipped[pid], tuple(violations[pid]))
         for pid in prop_ids
@@ -277,11 +275,8 @@ def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
     outside either domain (empty, oversized or disconnected) are counted as
     skipped.
     """
-    searched = 0
-    skipped = 0
-    with_witness = 0
-    for g in corpus:
-        searched += 1
+    searched = skipped = with_witness = 0
+    for searched, g in enumerate(corpus, start=1):
         case = _GraphCase(g)
         if not (case.in_pe_domain and case.in_witness_domain):
             skipped += 1

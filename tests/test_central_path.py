@@ -6,6 +6,7 @@ from conftest import seeded_connected_gnp
 from pathecc.asteroidal import find_k_at, min_k_at_free, verify_kat
 from pathecc.central_path import (
     Certificate,
+    Dichotomy,
     ImprovedPath,
     Shortened,
     find_k_dominating_path_or_witness,
@@ -23,6 +24,15 @@ from pathecc.families import (
     subdivided_claw,
 )
 from pathecc.graphs import Graph, _shortest_path, is_path
+
+
+def test_a_dichotomy_holds_exactly_one_side():
+    w = find_k_at(subdivided_claw(2), 1)
+    with pytest.raises(ValueError, match="exactly one"):
+        Dichotomy()
+    with pytest.raises(ValueError, match="exactly one"):
+        Dichotomy(path=(0,), witness=w)
+    assert Dichotomy(witness=w).path is None and Dichotomy(path=(0,)).witness is None
 
 
 def test_greedy_seed_path():

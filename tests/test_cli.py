@@ -274,6 +274,15 @@ def test_corpus_parse_error_names_file_and_line(tmp_path, capsys, command):
                    f"need 266 bytes, have 1\n")
 
 
+def test_corpus_file_is_read_one_graph_at_a_time(tmp_path):
+    f = tmp_path / "corpus.g6"
+    f.write_text("Bw\nnot graph6\n")
+    graphs = pathecc.cli._load_corpus(str(f))
+    assert next(graphs).n == 3
+    with pytest.raises(ValueError, match=":2:"):
+        next(graphs)
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -82,6 +82,13 @@ def test_pe_guards():
         pe_exact(path_graph(17))
 
 
+def test_pe_search_returning_no_path_raises(monkeypatch):
+    """Checked by a raise, not an assert, so python -O keeps it."""
+    monkeypatch.setattr(eccentricity, "_first_best_path", lambda g, limit, stop: (g.n + 1, None))
+    with pytest.raises(RuntimeError, match="returned none"):
+        pe_exact(path_graph(3))
+
+
 def test_pe_witness_is_first_found(connected_upto_5):
     """Pruning must not change which minimum witness is reported."""
     for g in connected_upto_5:

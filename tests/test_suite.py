@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from hashlib import sha256
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from pathecc.star_c1p import OrderingWitness
 from pathecc.suite import (
     PROPERTIES,
     _GraphCase,
+    _eval_graph,
     _prop_dichotomy,
     _prop_order_lemma,
     _prop_path_neighborhood,
@@ -129,6 +132,89 @@ def test_parallel_run_matches_sequential():
     assert any(r.skipped for r in par.results) and not par.passed
 
 
+def test_serial_run_checks_each_graph_as_it_arrives(monkeypatch):
+    yielded = []
+    seen = []
+
+    def corpus():
+        for n in range(1, 6):
+            yielded.append(n)
+            yield path_graph(n)
+
+    monkeypatch.delenv("CPK_THREADS", raising=False)
+    monkeypatch.setitem(PROPERTIES, "theorem3", lambda case: seen.append(len(yielded)))
+    (res,) = run_property_suite(corpus(), ["theorem3"]).results
+    assert seen == [1, 2, 3, 4, 5] and res.checked == 5
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_suite_memory_does_not_grow_with_the_corpus(monkeypatch, threads):
+    """The runner holds no copy of the corpus in either worker path, so its
+    traced peak over 5000 one-shot graphs stays below half of what one copy
+    of them costs.  The serial peak is a few KB.  The pool's is its fixed
+    cost plus at most two chunks of 16 graphs per worker, about a sixth of a
+    copy here, and the same under any load, since the window is bounded."""
+    if threads is None:
+        monkeypatch.delenv("CPK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CPK_THREADS", threads)
+    p3 = path_graph(3)
+    run_property_suite(iter([p3, p3]), ["theorem4"])  # imports the pool outside the trace
+    tracemalloc.start()
+    try:
+        copy = [path_graph(3) for _ in range(5000)]
+        one_copy = tracemalloc.get_traced_memory()[0]
+        del copy
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        (res,) = run_property_suite((path_graph(3) for _ in range(5000)), ["theorem4"]).results
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.checked == 5000
+    assert peak < one_copy / 2, f"traced peak {peak} bytes, one copy {one_copy}"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_holds_at_most_two_chunks_per_worker(workers):
+    yielded = []
+
+    def corpus():
+        for _ in range(500):
+            yielded.append(None)
+            yield path_graph(3)
+
+    in_flight = []
+    rows = pathecc.suite._pooled_rows(partial(_eval_graph, ("theorem4",)), corpus(), workers)
+    for done, row in enumerate(rows):
+        in_flight.append(len(yielded) - done)
+        assert row == [("theorem4", True, None)]
+    assert len(in_flight) == 500 and max(in_flight) == 2 * workers * 16
+
+
+def test_a_dead_worker_fails_the_run_instead_of_hanging():
+    """A worker killed mid-run (a crash, or the OOM killer) raises
+    BrokenProcessPool; the run must not wait for the lost chunk forever."""
+    src = str(Path(pathecc.suite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, CPK_THREADS="2")
+    code = (
+        "import multiprocessing, os\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from pathecc.families import path_graph\n"
+        "from pathecc.suite import PROPERTIES, run_property_suite\n"
+        "multiprocessing.set_start_method('fork')  # the workers inherit the patch below\n"
+        "PROPERTIES['theorem4'] = lambda case: os._exit(9) if case.g.n == 4 else None\n"
+        "try:\n"
+        "    run_property_suite([path_graph(n) for n in range(1, 39)], ['theorem4'])\n"
+        "except BrokenProcessPool:\n"
+        "    print('broken')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.stdout.strip() == "broken", out.stderr
+
+
 # sha256 of repr((report.results, hunt result)) for every property on
 # _mixed_corpus(), computed while each property still carried its own guard
 MIXED_SHA256 = "7540ce77b4724a699f2fe7bbb4264e7bcf0ab7aaeacc3c6ebbd183fce00c5097"
@@ -150,17 +236,17 @@ def test_mixed_corpus_report_and_hunt_are_pinned(monkeypatch, threads):
         monkeypatch.delenv("CPK_THREADS", raising=False)
     else:
         monkeypatch.setenv("CPK_THREADS", threads)
-    corpus = _mixed_corpus()
-    report = run_property_suite(corpus, PROPERTIES)
-    hunt = hunt_conjecture(corpus)
-    counts = {r.property_id: (r.checked, r.skipped, len(r.violations)) for r in report.results}
-    for pid in ("theorem1", "theorem3", "corollary", "dichotomy"):
-        assert counts[pid] == (33, 7, 0)
-    for pid in ("theorem4", "c5_free", "order_lemma", "path_neighborhood"):
-        assert counts[pid] == (38, 2, 0)
-    assert counts["star_c1p_exists"] == (38, 2, 3)
-    assert (hunt.searched, hunt.with_witness, hunt.skipped) == (40, 30, 7)
-    assert sha256(repr((report.results, hunt)).encode()).hexdigest() == MIXED_SHA256
+    for source in (list, iter):  # a one-shot iterator gives the same report
+        report = run_property_suite(source(_mixed_corpus()), PROPERTIES)
+        hunt = hunt_conjecture(source(_mixed_corpus()))
+        counts = {r.property_id: (r.checked, r.skipped, len(r.violations)) for r in report.results}
+        for pid in ("theorem1", "theorem3", "corollary", "dichotomy"):
+            assert counts[pid] == (33, 7, 0)
+        for pid in ("theorem4", "c5_free", "order_lemma", "path_neighborhood"):
+            assert counts[pid] == (38, 2, 0)
+        assert counts["star_c1p_exists"] == (38, 2, 3)
+        assert (hunt.searched, hunt.with_witness, hunt.skipped) == (40, 30, 7)
+        assert sha256(repr((report.results, hunt)).encode()).hexdigest() == MIXED_SHA256
 
 
 def test_pe_properties_are_registered():
