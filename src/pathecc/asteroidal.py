@@ -23,8 +23,8 @@ from .graphs import (
     Graph,
     _check_vertices,
     _grow_mask,
+    _label_components,
     _shortest_path,
-    _sweep,
     is_connected,
     is_path,
     neighborhood_k,
@@ -77,22 +77,6 @@ def verify_kat(g: Graph, w: KatWitness) -> bool:
         if not neighborhood_k(g, (z,), w.k).isdisjoint(path):
             return False
     return True
-
-
-def _label_components(g: Graph, allowed: int) -> list[int]:
-    """row[v]: mask of v's component in G[allowed]; 0 for v outside allowed."""
-    masks = g.adj_masks
-    row = [0] * g.n
-    rest = allowed
-    while rest:
-        comp = _sweep(masks, rest & -rest, allowed, -1)[0]
-        rest &= ~comp
-        m = comp
-        while m:
-            low = m & -m
-            row[low.bit_length() - 1] = comp
-            m ^= low
-    return row
 
 
 def _first_k_at_triple(g: Graph, k: int) -> Optional[tuple[int, int, int]]:

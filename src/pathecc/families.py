@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, _sweep
+from .graphs import Graph, _label_components
 from .pqtree import BinaryMatrix
 
 
@@ -350,7 +350,6 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
             prefix.pop()
 
     extend([(0, x) for x in range(n)])
-    assert best is not None
     return tuple(best)
 
 
@@ -443,7 +442,6 @@ def _certificate(masks: Sequence[int], n: int) -> tuple[int, ...]:
 
     full = (1 << n) - 1
     search(_refine(masks, [full], [full]))
-    assert best is not None
     return best
 
 
@@ -475,12 +473,7 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
             for x, t in enumerate(_twin_masks(base))
             if t & ((1 << x) - 1)
         ]
-        components = []
-        rest = full if connected else 0
-        while rest:
-            comp = _sweep(base, rest & -rest, full, -1)[0]
-            components.append(comp)
-            rest &= ~comp
+        components = set(_label_components(parent, full)) if connected else ()
         for nbhd in range(new):
             if any(nbhd & bit and lower & ~nbhd for bit, lower in lower_twins):
                 continue
@@ -496,14 +489,14 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
 
 
 def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
-    """All graphs (connected or not) on n >= 1 vertices up to isomorphism.
+    """All graphs (connected or not) on n >= 0 vertices up to isomorphism.
 
     Built level by level with :func:`_extend`, keeping only the previous
     level alive while the next is built.  Its twin-packed neighborhoods
     change neither which labelled graph represents a class nor the order.
     """
-    level: tuple[Graph, ...] = (Graph.from_edges(1),)
-    for m in range(2, n + 1):
+    level: tuple[Graph, ...] = (Graph.from_edges(0),)
+    for m in range(1, n + 1):
         level = _extend(level, m, connected=False)
     return level
 
@@ -514,17 +507,15 @@ MAX_ENUMERATION_N = 7
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices up to isomorphism, in a fixed order.
 
-    Levels 1..n-1 are built complete (a connected class can first arise from
-    a disconnected parent); level n is built connected-only by
-    :func:`_extend`.  The graphs and their order, hence the graph6 bytes,
-    are those of filtering :func:`_all_graphs_upto_iso` by connectivity.
-    Larger corpora are meant to be supplied as graph6 files, which are streamed.
+    Levels 0..n-1, from the empty graph, are built complete (a connected
+    class can first arise from a disconnected parent); level n is built
+    connected-only by :func:`_extend`.  The graphs and their order, hence
+    the graph6 bytes, are those of filtering :func:`_all_graphs_upto_iso`
+    by connectivity.  Larger corpora are meant to be supplied as graph6
+    files, which are streamed.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    if n == 1:
-        yield Graph.from_edges(1)
-    else:
-        yield from _extend(_all_graphs_upto_iso(n - 1), n, connected=True)
+    yield from _extend(_all_graphs_upto_iso(n - 1), n, connected=True)

@@ -46,7 +46,7 @@ class Graph:
         return self.adj_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and self.adj_masks[u] >> v & 1 == 1
+        return 0 <= u < self.n and 0 <= v < self.n and self.adj_masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -109,6 +109,22 @@ def _sweep(
 def _grow_mask(g: Graph, seed: int, k: int) -> int:
     """Vertices within distance k of the seed set."""
     return _sweep(g.adj_masks, seed, (1 << g.n) - 1, k)[0]
+
+
+def _label_components(g: Graph, allowed: int) -> list[int]:
+    """row[v]: mask of v's component in G[allowed]; 0 for v outside allowed."""
+    masks = g.adj_masks
+    row = [0] * g.n
+    rest = allowed
+    while rest:
+        comp = _sweep(masks, rest & -rest, allowed, -1)[0]
+        rest &= ~comp
+        m = comp
+        while m:
+            low = m & -m
+            row[low.bit_length() - 1] = comp
+            m ^= low
+    return row
 
 
 def _mask_of(vs: Iterable[int]) -> int:

@@ -1,10 +1,13 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathecc
 from conftest import (
     all_simple_paths,
     brute_induced_cycles,
@@ -274,7 +277,11 @@ def test_accessors_agree_with_the_edge_set(case):
         assert g.neighbors(u) == frozenset(nbrs) and g.degree(u) == len(nbrs)
         assert all(g.has_edge(u, v) == (v in nbrs) for v in range(n))
         assert g.has_edge(u, -1) is False and g.has_edge(u, n) is False
+        assert g.has_edge(-1, u) is False and g.has_edge(n, u) is False
     assert Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)]).edges() == [(0, 1)]
+    c4 = cycle(4)
+    assert not c4.has_edge(-1, 0) and not c4.has_edge(-2, 1)
+    assert c4.has_edge(4, 0) is False and c4.has_edge(0, 4) is False
 
 
 @given(graph_strategy(max_n=9), st.data())
@@ -290,3 +297,18 @@ def test_shortest_path_matches_set_based_reference(g, data):
             assert free == reference_shortest_path(g, src, dst)
             assert (free is None) == (dist[dst] is None)
             assert free is None or len(free) - 1 == dist[dst]
+
+
+def test_src_has_no_assert():
+    # python -O drops assert statements and reads __debug__ as False, so a
+    # check written with either would vanish there; answer checks raise
+    sources = sorted(Path(pathecc.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert found == []
