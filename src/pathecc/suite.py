@@ -2,9 +2,9 @@
 
 Every property is a pure check over one graph (a violation message or None);
 the runner evaluates the enabled set over a corpus and assembles a
-deterministic report.  The runner and the hunt take each graph as it arrives
-and never hold the whole corpus.  Set CPK_THREADS to evaluate graphs in
-parallel; results are merged in corpus order either way, so reports are stable.
+deterministic report.  The runner and the hunt share one stream, ``_rows``,
+that takes each graph as it arrives and never holds the corpus.  CPK_THREADS
+sets its worker processes; rows keep corpus order, so reports are stable.
 
 Which graphs a property covers is decided once, in ``_eval_graph``: the pe
 properties (theorem1, theorem3, corollary, dichotomy) cover connected graphs
@@ -223,9 +223,13 @@ def _worker_count() -> int:
     return workers
 
 
-def _pooled_rows(evaluate: Callable, corpus: Iterable[Graph], workers: int) -> Iterator[list]:
-    """Rows in corpus order from chunks of 16 graphs, at most two per worker in
-    flight: no copy of the corpus, and a worker that dies raises BrokenProcessPool."""
+def _rows(evaluate: Callable, corpus: Iterable[Graph]) -> Iterator:
+    """evaluate(g) per graph in corpus order, on CPK_THREADS processes.  A pool holds
+    two 16-graph chunks per worker in flight; a dead worker raises BrokenProcessPool."""
+    workers = _worker_count()
+    if workers == 1:
+        yield from map(evaluate, corpus)
+        return
     from concurrent.futures import ProcessPoolExecutor  # only CPK_THREADS > 1 pays for it
     graphs = iter(corpus)
     with ProcessPoolExecutor(workers) as pool:
@@ -249,9 +253,7 @@ def run_property_suite(corpus: Iterable[Graph], properties: Iterable[str]) -> Pr
         raise ValueError(f"unknown properties: {unknown}")
     start = time.monotonic()
     checked, skipped, violations = Counter(), Counter(), defaultdict(list)
-    evaluate, workers = partial(_eval_graph, prop_ids), _worker_count()
-    rows = map(evaluate, corpus) if workers == 1 else _pooled_rows(evaluate, corpus, workers)
-    for row in rows:
+    for row in _rows(partial(_eval_graph, prop_ids), corpus):
         for pid, inside, violation in row:  # only a graph inside has a violation
             (checked if inside else skipped)[pid] += 1
             if violation is not None:
@@ -261,6 +263,25 @@ def run_property_suite(corpus: Iterable[Graph], properties: Iterable[str]) -> Pr
         for pid in prop_ids
     )
     return PropertyReport(results, time.monotonic() - start)
+
+
+def _hunt_graph(g: Graph) -> Optional[tuple[bool, Optional[Counterexample]]]:
+    """None for a graph outside either domain, else (witnessed, counterexample or None)."""
+    case = _GraphCase(g)
+    if not (case.in_pe_domain and case.in_witness_domain):
+        return None
+    if case.star is None or has_path_with_ecc_at_most(g, 1) is not None:
+        return case.star is not None, None
+    result = pe_exact(g)
+    graph6 = emit_graph6(g)
+    if not verify_witness(g, case.star):
+        raise RuntimeError(f"ordering witness of {graph6} fails re-verification")
+    if result.value < 2:
+        raise RuntimeError(
+            f"the pe <= 1 search missed {result.witness} of {graph6}, "
+            f"whose eccentricity is {result.value}"
+        )
+    return True, Counterexample(graph6, case.star, result.value, result.witness)
 
 
 def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
@@ -273,32 +294,16 @@ def hunt_conjecture(corpus: Iterable[Graph]) -> HuntResult:
     re-verification raises :class:`RuntimeError`; finding none leaves the
     conjectured bound standing on the graphs that were checked.  Graphs
     outside either domain (empty, oversized or disconnected) are counted as
-    skipped.
+    skipped.  Like the suite, the hunt checks graphs on CPK_THREADS
+    processes, and the first counterexample in corpus order ends it.
     """
     searched = skipped = with_witness = 0
-    for searched, g in enumerate(corpus, start=1):
-        case = _GraphCase(g)
-        if not (case.in_pe_domain and case.in_witness_domain):
+    for searched, row in enumerate(_rows(_hunt_graph, corpus), start=1):
+        if row is None:
             skipped += 1
             continue
-        witness = case.star
-        if witness is None:
-            continue
-        with_witness += 1
-        if has_path_with_ecc_at_most(g, 1) is None:
-            result = pe_exact(g)
-            graph6 = emit_graph6(g)
-            if not verify_witness(g, witness):
-                raise RuntimeError(f"ordering witness of {graph6} fails re-verification")
-            if result.value < 2:
-                raise RuntimeError(
-                    f"the pe <= 1 search missed {result.witness} of {graph6}, "
-                    f"whose eccentricity is {result.value}"
-                )
-            return HuntResult(
-                searched,
-                with_witness,
-                Counterexample(graph6, witness, result.value, result.witness),
-                skipped,
-            )
+        witnessed, counterexample = row
+        with_witness += witnessed
+        if counterexample is not None:
+            return HuntResult(searched, with_witness, counterexample, skipped)
     return HuntResult(searched, with_witness, None, skipped)

@@ -378,3 +378,11 @@ def connected_upto_6():
     from pathecc.families import enumerate_connected
 
     return [g for n in range(1, 7) for g in enumerate_connected(n)]
+
+
+@pytest.fixture(scope="session")
+def connected_upto_7():
+    """The 996 connected graphs with n <= 7, built once per session."""
+    from pathecc.families import enumerate_connected
+
+    return tuple(g for n in range(1, 8) for g in enumerate_connected(n))

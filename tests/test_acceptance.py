@@ -53,14 +53,9 @@ def report(num: int, name: str, violations: list) -> None:
 
 
 @pytest.fixture(scope="module")
-def corpus7():
-    return [g for n in range(1, 8) for g in enumerate_connected(n)]
-
-
-@pytest.fixture(scope="module")
-def corpus_structural(corpus7):
+def corpus_structural(connected_upto_7):
     """n <= 7 corpus, extended to n = 8 when the external file is present."""
-    graphs = list(corpus7)
+    graphs = list(connected_upto_7)
     if EXTERNAL_N8.exists():
         with EXTERNAL_N8.open(encoding="utf-8") as fh:
             graphs.extend(parse_graph6(line) for line in fh if line.strip())
@@ -145,10 +140,10 @@ def test_criterion_5_conjecture_hunt(corpus_structural, star_map):
     report(5, "pe<=1 conjecture hunt", violations)
 
 
-def test_criterion_6_dichotomy_exhaustive(corpus7):
+def test_criterion_6_dichotomy_exhaustive(connected_upto_7):
     start = time.monotonic()
     violations = []
-    for g in corpus7:
+    for g in connected_upto_7:
         level = min_k_at_free(g)
         for k in (1, 2, 3):
             d = find_k_dominating_path_or_witness(g, k)
@@ -249,9 +244,9 @@ def test_criterion_8_figure_fixtures():
     report(8, "figure fixtures reproduce", violations)
 
 
-def test_criterion_9_lemma_suites(corpus7, star_map):
+def test_criterion_9_lemma_suites(connected_upto_7, star_map):
     violations = []
-    for g, w in zip(corpus7, star_map[: len(corpus7)]):
+    for g, w in zip(connected_upto_7, star_map[: len(connected_upto_7)]):
         if w is None:
             continue
         if find_long_induced_cycle(g, 5) is not None:

@@ -17,7 +17,6 @@ from pathecc.eccentricity import has_path_with_ecc_at_most, path_eccentricity
 from pathecc.families import (
     cycle,
     emit_graph6,
-    enumerate_connected,
     fig_biconvex,
     parse_graph6,
     path_graph,
@@ -279,9 +278,9 @@ def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
 SEEDED_CHAINS_SHA256 = "a3502583c2f070aca9a279d7c43c1537243894569593606984c6a6ba67e23131"
 
 
-def test_seeded_improvement_chains_are_pinned():
+def test_seeded_improvement_chains_are_pinned(connected_upto_7):
     lines = []
-    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+    for g in connected_upto_7:
         g6 = emit_graph6(g)
         for k in (1, 2, 3):
             for s in range(g.n):

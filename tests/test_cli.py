@@ -356,6 +356,8 @@ def test_hunt_on_fully_checked_corpus_is_silent(capsys):
 
 def test_invalid_worker_count_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CPK_THREADS", "abc")
+    code, out, err = run(capsys, "hunt", "gen:cycle:5")
+    assert code == 2 and out == "" and "CPK_THREADS" in err
     code, out, err = run(capsys, "suite", "gen:cycle:5", "--props", "theorem1")
     assert code == 2 and out == "" and "CPK_THREADS" in err
 

@@ -28,7 +28,6 @@ from pathecc.families import (
     clique,
     cycle,
     emit_graph6,
-    enumerate_connected,
     fig_biconvex,
     path_graph,
     subdivided_claw,
@@ -182,9 +181,9 @@ def test_has_path_examples():
 PE_ANSWERS_SHA256 = "d3dcaa43de1f248e771b1f059db57468ba7c34ead118726c0139ca1a679c9adb"
 
 
-def test_pe_answers_are_pinned():
+def test_pe_answers_are_pinned(connected_upto_7):
     lines = []
-    for g in (g for n in range(1, 8) for g in enumerate_connected(n)):
+    for g in connected_upto_7:
         res = pe_exact(g)
         hits = [has_path_with_ecc_at_most(g, k) for k in range(res.value + 2)]
         lines.append(repr((emit_graph6(g), res.value, res.witness, hits)))

@@ -245,8 +245,8 @@ def test_enumerate_connected_yields_nonisomorphic_connected(connected_upto_5):
 CORPUS7_SHA256 = "1084b53d68534a267e6605b5c1e64fd99d891599eb8f66804d10bd951ff56917"
 
 
-def test_enumeration_corpus_is_byte_stable():
-    lines = "\n".join(emit_graph6(g) for n in range(1, 8) for g in enumerate_connected(n))
+def test_enumeration_corpus_is_byte_stable(connected_upto_7):
+    lines = "\n".join(emit_graph6(g) for g in connected_upto_7)
     assert hashlib.sha256(lines.encode()).hexdigest() == CORPUS7_SHA256
 
 

@@ -19,7 +19,6 @@ from pathecc.families import (
     cycle,
     clique,
     emit_graph6,
-    enumerate_connected,
     fig_example_b,
     fig_example_c,
     ladder_k4,
@@ -132,9 +131,8 @@ def _answers_sha256(graphs) -> tuple[int, str]:
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_star_c1p_answers_are_pinned():
-    graphs = (g for n in range(1, 8) for g in enumerate_connected(n))
-    assert _answers_sha256(graphs) == (996, STAR_ANSWERS_SHA256)
+def test_star_c1p_answers_are_pinned(connected_upto_7):
+    assert _answers_sha256(connected_upto_7) == (996, STAR_ANSWERS_SHA256)
 
 
 # the same digest over seeded G(n, p) graphs past the exhaustive corpus,

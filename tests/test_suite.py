@@ -176,7 +176,7 @@ def test_suite_memory_does_not_grow_with_the_corpus(monkeypatch, threads):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pool_holds_at_most_two_chunks_per_worker(workers):
+def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch, workers):
     yielded = []
 
     def corpus():
@@ -185,7 +185,8 @@ def test_pool_holds_at_most_two_chunks_per_worker(workers):
             yield path_graph(3)
 
     in_flight = []
-    rows = pathecc.suite._pooled_rows(partial(_eval_graph, ("theorem4",)), corpus(), workers)
+    monkeypatch.setenv("CPK_THREADS", str(workers))
+    rows = pathecc.suite._rows(partial(_eval_graph, ("theorem4",)), corpus())
     for done, row in enumerate(rows):
         in_flight.append(len(yielded) - done)
         assert row == [("theorem4", True, None)]
@@ -213,6 +214,66 @@ def test_a_dead_worker_fails_the_run_instead_of_hanging():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.stdout.strip() == "broken", out.stderr
+
+
+_POOLED_HUNT = """
+import multiprocessing, os, sys
+from pathecc import suite
+from pathecc.eccentricity import PeResult
+from pathecc.families import emit_graph6, enumerate_connected
+
+multiprocessing.set_start_method("fork")  # the workers inherit the patches below
+corpus = [g for n in range(1, 7) for g in enumerate_connected(n)]
+witnessed = [emit_graph6(g) for g in corpus if suite.find_star_c1p(g) is not None]
+# witnessed[70] is graph 75, past the first window of four 16-graph chunks;
+# witnessed[90], graph 103, is in a chunk in flight when the hunt stops there
+misses = {witnessed[70], witnessed[90]}
+search, pe, log = suite.has_path_with_ecc_at_most, suite.pe_exact, sys.argv[1]
+
+
+def logged_search(g, k):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return None if emit_graph6(g) in misses else search(g, k)
+
+
+def hunt(threads):
+    os.environ["CPK_THREADS"] = threads
+    r = suite.hunt_conjecture(iter(corpus))
+    return r.searched, r.with_witness, r.skipped, r.counterexample.graph6
+
+
+suite.has_path_with_ecc_at_most = logged_search
+suite.pe_exact = lambda g: PeResult(2, pe(g).witness) if emit_graph6(g) in misses else pe(g)
+print(witnessed[70])
+print(hunt("1"))
+open(log, "w").close()
+print(hunt("2"))
+with open(log) as fh:
+    print(bool({int(pid) for pid in fh} - {os.getpid()}))
+suite.verify_witness = lambda g, w: False
+try:
+    hunt("2")
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_the_pooled_hunt_checks_in_workers_and_stops_in_corpus_order(tmp_path):
+    """With two workers the per-graph checks run outside the parent, the hunt
+    names the same first counterexample as a serial run although a later one
+    is in flight, and a failed re-verification in a worker raises, not hangs."""
+    src = str(Path(pathecc.suite.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _POOLED_HUNT, str(tmp_path / "pids")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.stdout.count("\n") == 5, out.stderr
+    graph6, serial, pooled, outside, error = out.stdout.splitlines()
+    assert serial == pooled == repr((76, 71, 0, graph6)), out.stderr
+    assert outside == "True"
+    assert error == f"ordering witness of {graph6} fails re-verification"
 
 
 # sha256 of repr((report.results, hunt result)) for every property on
