@@ -42,8 +42,10 @@ from pathecc.families import (
     random_gnp,
     subdivided_claw,
 )
+from pathecc.asteroidal import min_k_at_free
+from pathecc.eccentricity import pe_exact
 from pathecc.graphs import Graph, is_connected
-from pathecc.star_c1p import partially_augmented_matrix
+from pathecc.star_c1p import find_star_c1p, partially_augmented_matrix
 
 try:
     import networkx as nx
@@ -248,6 +250,26 @@ CORPUS7_SHA256 = "1084b53d68534a267e6605b5c1e64fd99d891599eb8f66804d10bd951ff569
 def test_enumeration_corpus_is_byte_stable(connected_upto_7):
     lines = "\n".join(emit_graph6(g) for g in connected_upto_7)
     assert hashlib.sha256(lines.encode()).hexdigest() == CORPUS7_SHA256
+
+
+# sha256 of one line per n <= 7 class: its isomorphism key with pe, min_k and
+# whether an ordering witness exists; sorted, so no representative or order shows
+INVARIANTS7_SHA256 = "831335d52e16d7cec63bbff6ac26eb69ecd4d4cb47e4e9cbf993d81237c9e93f"
+
+
+def test_corpus_invariants_are_label_free(connected_upto_7):
+    lines = sorted(
+        repr((
+            families._certificate(g.adj_masks, g.n),
+            pe_exact(g).value,
+            min_k_at_free(g),
+            find_star_c1p(g) is not None,
+        ))
+        for g in connected_upto_7
+    )
+    assert len(lines) == 996
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == INVARIANTS7_SHA256
 
 
 def test_enumerated_graphs_are_collected_after_use():
