@@ -308,51 +308,6 @@ def _twin_masks(masks: Sequence[int]) -> list[int]:
     return twins
 
 
-def canonical_key(g: Graph) -> tuple[int, ...]:
-    """Minimum adjacency bitstring over all vertex orderings.
-
-    Positions are assigned one at a time; placing a vertex at position p
-    fixes its adjacency bits to the p already-placed vertices (one word,
-    the first-placed vertex in the high bit), and branches whose word
-    already exceeds the best known prefix are cut.  Of several unplaced
-    twins only the first is branched on: the others' subtrees are its
-    images under automorphisms.  The result is the true minimum, grouped
-    as one integer per position.
-    """
-    n = g.n
-    masks = g.adj_masks
-    twins = _twin_masks(masks)
-    best: Optional[list[int]] = None
-    prefix: list[int] = []
-
-    def extend(unplaced: list[tuple[int, int]]) -> None:
-        # unplaced holds (word against the placed prefix, vertex)
-        nonlocal best
-        p = len(prefix)
-        if not unplaced:
-            if best is None or prefix < best:
-                best = prefix.copy()
-            return
-        # smallest word first: finds a strong incumbent early
-        unplaced.sort()
-        tried = 0
-        for word, x in unplaced:
-            if twins[x] & tried:
-                continue
-            tried |= 1 << x
-            # prune against the incumbent; best may change between siblings,
-            # and every later sibling has a word at least as large
-            if best is not None and word > best[p] and prefix == best[:p]:
-                break
-            row = masks[x]
-            prefix.append(word)
-            extend([((w << 1) | (row >> y & 1), y) for w, y in unplaced if y != x])
-            prefix.pop()
-
-    extend([(0, x) for x in range(n)])
-    return tuple(best)
-
-
 def _refine(masks: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
     """Refine an ordered partition (cells as vertex masks) until it is equitable.
 
@@ -387,19 +342,20 @@ def _refine(masks: Sequence[int], cells: list[int], splitters: list[int]) -> lis
     return cells
 
 
-def _certificate(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    """A complete isomorphism invariant of the n-vertex graph with these masks.
+def canonical_key(g: Graph) -> tuple[int, ...]:
+    """A complete isomorphism invariant: equal keys iff isomorphic graphs.
 
     Individualization-refinement as in McKay & Piperno, "Practical graph
     isomorphism II" (JSC 2014), pruned only by twins: refine to an
     equitable partition, individualize each vertex of the first smallest
     non-singleton cell in turn, and recurse.  A discrete partition labels
-    each vertex by its cell's position; the certificate is the smallest
-    relabelled mask tuple over all leaves.  It is cheaper than
-    :func:`canonical_key` but not comparable with it.
+    each vertex by its cell's position; the key is the smallest relabelled
+    mask tuple over all leaves.
     """
+    n = g.n
     if n == 0:
         return ()
+    masks = g.adj_masks
     twins = _twin_masks(masks)
     best: Optional[tuple[int, ...]] = None
 
@@ -441,7 +397,10 @@ def _certificate(masks: Sequence[int], n: int) -> tuple[int, ...]:
             search(_refine(masks, split, [low]))
 
     full = (1 << n) - 1
-    search(_refine(masks, [full], [full]))
+    try:
+        search(_refine(masks, [full], [full]))
+    finally:
+        del search  # the closure refers to itself; free it without the collector
     return best
 
 
@@ -450,9 +409,9 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
 
     Each representative of ``level`` is extended, in order, by the
     neighborhoods S of the new vertex m - 1 in numeric order; the first
-    extension of each isomorphism class (deduplicated by
-    :func:`_certificate`) is kept and the result sorted by
-    :func:`canonical_key`.  Two cuts leave that result unchanged:
+    extension of each isomorphism class (by :func:`canonical_key`) is kept,
+    in the order the classes are found.  Two cuts skip only extensions that
+    are never the first of their class:
 
     - S is skipped when some x in S has a twin y < x outside S.  Swapping
       the twins is an automorphism of the parent, so S - x + y gives an
@@ -460,7 +419,7 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
       class is twin-packed.
     - With ``connected`` set, S must meet every component of the parent, so
       only the connected classes are built.  Isomorphism preserves
-      connectivity, so each keeps its representative.
+      connectivity, so each keeps its representative and its place.
     """
     new = 1 << (m - 1)
     full = new - 1
@@ -482,18 +441,17 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
             masks = tuple(
                 (row | new) if nbhd >> v & 1 else row for v, row in enumerate(base)
             ) + (nbhd,)
-            cert = _certificate(masks, m)
-            if cert not in found:
-                found[cert] = Graph(m, masks)
-    return tuple(sorted(found.values(), key=canonical_key))
+            child = Graph(m, masks)
+            found.setdefault(canonical_key(child), child)
+    return tuple(found.values())
 
 
 def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
     """All graphs (connected or not) on n >= 0 vertices up to isomorphism.
 
     Built level by level with :func:`_extend`, keeping only the previous
-    level alive while the next is built.  Its twin-packed neighborhoods
-    change neither which labelled graph represents a class nor the order.
+    level alive while the next is built.  Each level is in discovery order:
+    parents in level order, then new-vertex neighborhoods in numeric order.
     """
     level: tuple[Graph, ...] = (Graph.from_edges(0),)
     for m in range(1, n + 1):
@@ -509,10 +467,10 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
     Levels 0..n-1, from the empty graph, are built complete (a connected
     class can first arise from a disconnected parent); level n is built
-    connected-only by :func:`_extend`.  The graphs and their order, hence
-    the graph6 bytes, are those of filtering :func:`_all_graphs_upto_iso`
-    by connectivity.  Larger corpora are meant to be supplied as graph6
-    files, which are streamed.
+    connected-only by :func:`_extend`.  The graphs and their discovery
+    order, hence the graph6 bytes, are those of filtering
+    :func:`_all_graphs_upto_iso` by connectivity.  Larger corpora are meant
+    to be supplied as graph6 files, which are streamed.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(

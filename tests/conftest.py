@@ -137,6 +137,54 @@ def brute_pe(g: Graph):
     return best, best_path
 
 
+def _members(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def dp_has_path_with_ecc_at_most(g: Graph, k: int) -> bool:
+    """Whether some simple path of g has eccentricity <= k, by dynamic
+    programming over vertex sets; it shares nothing with the pe search.
+
+    ``cover[S]`` is the union of the radius-k balls of S, built from S minus
+    its lowest vertex.  ``ends[S]`` is the mask of the vertices at which a
+    simple path on exactly S can end; it grows from the singletons along the
+    edges out of S, in increasing S.  A path qualifies iff its vertex set S
+    has ``ends[S] != 0`` and ``cover[S]`` is every vertex.
+    """
+    n, adj = g.n, g.adj_masks
+    everything = (1 << n) - 1
+    balls = []
+    for v in range(n):
+        ball = 1 << v
+        for _ in range(k):
+            for u in _members(ball):
+                ball |= adj[u]
+        balls.append(ball)
+    cover = [0] * (1 << n)
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    for s in range(1, 1 << n):
+        low = s & -s
+        cover[s] = cover[s ^ low] | balls[low.bit_length() - 1]
+        if not ends[s]:
+            continue
+        if cover[s] == everything:
+            return True
+        for v in _members(ends[s]):
+            for u in _members(adj[v] & ~s):
+                ends[s | 1 << u] |= 1 << u
+    return False
+
+
+def dp_pe(g: Graph) -> int:
+    """The path eccentricity of a connected graph with n >= 1, by the subset DP."""
+    return next(k for k in range(g.n) if dp_has_path_with_ecc_at_most(g, k))
+
+
 def brute_induced_cycles(g: Graph, min_len: int):
     """All vertex sets of size >= min_len inducing a chordless cycle."""
     out = []
@@ -340,10 +388,9 @@ def reference_extend(level, m: int) -> tuple[Graph, ...]:
 
     Each parent, in order, gets every neighborhood of the new vertex m - 1
     in numeric order; the first graph of each isomorphism class (by
-    ``families._certificate``) is kept, and the kept graphs are sorted by
-    ``families.canonical_key``.
+    ``families.canonical_key``) is kept, in the order the classes are found.
     """
-    from pathecc.families import _certificate, canonical_key
+    from pathecc.families import canonical_key
 
     found: dict[tuple[int, ...], Graph] = {}
     for parent in level:
@@ -352,8 +399,8 @@ def reference_extend(level, m: int) -> tuple[Graph, ...]:
             g = Graph.from_edges(
                 m, edges + [(v, m - 1) for v in range(m - 1) if nbhd >> v & 1]
             )
-            found.setdefault(_certificate(g.adj_masks, m), g)
-    return tuple(sorted(found.values(), key=canonical_key))
+            found.setdefault(canonical_key(g), g)
+    return tuple(found.values())
 
 
 def reference_all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:

@@ -251,7 +251,7 @@ def test_proof_mode_steps_are_sound(connected_upto_5):
 
 # sha256 over the connected graphs with n <= 6 and k = 1..3 of every
 # dichotomy answer with its trace, then every proof-mode step from the seed
-DICHOTOMY_SHA256 = "824ae0531a70b015a6d1004f695e057db94205e6b73bf2baebbab411860e14c0"
+DICHOTOMY_SHA256 = "2a922a3d7285942bb1c99bcb4df986e8bbad9adbbeb28438bbc52cb9668c2cc5"
 
 
 def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
@@ -275,7 +275,7 @@ def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
 
 # sha256 over the connected graphs with n <= 7 and k = 1..3 of every
 # improvement chain seeded with the shortest path s .. t, s <= t
-SEEDED_CHAINS_SHA256 = "a3502583c2f070aca9a279d7c43c1537243894569593606984c6a6ba67e23131"
+SEEDED_CHAINS_SHA256 = "50c1ce05445c9ef03e6a8d08d68c04fb3c5351fee30c4a631b4f4fab44c4f7c8"
 
 
 def test_seeded_improvement_chains_are_pinned(connected_upto_7):

@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pathecc.cli
+import pathecc.suite
 from pathecc.cli import cli_main
-from pathecc.families import clique, emit_graph6, fig_example_c, subdivided_claw
+from pathecc.eccentricity import PeResult
+from pathecc.families import clique, emit_graph6, fig_example_c, path_graph, subdivided_claw
 from pathecc.graphs import format_edge_list
 from pathecc.pqtree import format_matrix
 from pathecc.suite import PROPERTIES
@@ -202,6 +204,21 @@ def test_hunt_subcommand(capsys):
     assert code == 0
     assert doc["counterexample"] is None
     assert doc["searched"] == 112
+
+
+def test_hunt_prints_a_counterexample_and_exits_1(monkeypatch, capsys):
+    # make the path search miss and pe_exact report 2 on a witnessed graph
+    monkeypatch.delenv("CPK_THREADS", raising=False)
+    monkeypatch.setattr(pathecc.suite, "has_path_with_ecc_at_most", lambda g, k: None)
+    monkeypatch.setattr(pathecc.suite, "pe_exact", lambda g: PeResult(2, (0,)))
+    code, doc, _ = run_json(capsys, "hunt", "gen:path:4")
+    assert code == 1
+    assert (doc["searched"], doc["with_witness"]) == (1, 1)
+    ce = doc["counterexample"]
+    assert ce["graph6"] == emit_graph6(path_graph(4))
+    assert sorted(ce["witness"]["order"]) == [0, 1, 2, 3]
+    assert isinstance(ce["witness"]["diagonal"], list)
+    assert (ce["pe"], ce["pe_witness"]) == (2, [0])
 
 
 def test_hunt_corpus_file(tmp_path, capsys):

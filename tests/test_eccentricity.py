@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     all_simple_paths,
     brute_pe,
+    dp_has_path_with_ecc_at_most,
+    dp_pe,
     graph_strategy,
     path_ecc_oracle,
     relabel,
@@ -178,7 +180,7 @@ def test_has_path_examples():
 # sha256 over the connected graphs with n <= 7 of every pe_exact answer with
 # its witness, then has_path_with_ecc_at_most(g, k) for k = 0..pe + 1; it was
 # computed with the unmemoized search, so the state memo changes no answer
-PE_ANSWERS_SHA256 = "d3dcaa43de1f248e771b1f059db57468ba7c34ead118726c0139ca1a679c9adb"
+PE_ANSWERS_SHA256 = "9edc2b2bd6aaa2460d3f66bb8a43f997d51629e63a5b2f68e0cb725f305877ae"
 
 
 def test_pe_answers_are_pinned(connected_upto_7):
@@ -299,6 +301,36 @@ def test_independent_set_bound_changes_no_answer():
                 (p for p in all_simple_paths(g) if path_ecc_oracle(g, p) <= k), None
             )
             assert has_path_with_ecc_at_most(g, k) == first
+
+
+def test_pe_matches_subset_dp_on_7(connected_upto_7):
+    for g in connected_upto_7:
+        assert pe_exact(g).value == dp_pe(g)
+
+
+def _ten_to_fourteen() -> list[Graph]:
+    """15 seeded graphs, n = 10..14: G(n, 3/n), a random tree and a
+    bipartite graph with unequal parts, where the independent-set bound fires."""
+    rng = random.Random(1014)
+    graphs = []
+    for n in range(10, 15):
+        a = n // 3
+        graphs.append(seeded_connected_gnp(n, seed=n))
+        graphs.append(Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+        graphs.append(dense_bipartite(a, n - a, a * (n - a) * 3 // 4, n))
+    return graphs
+
+
+def test_pe_and_its_miss_match_subset_dp_past_seven():
+    """The subset DP confirms the hit at pe and, past brute_pe's reach, the
+    search's miss at pe - 1."""
+    values = []
+    for g in _ten_to_fourteen():
+        pe = pe_exact(g).value
+        assert dp_has_path_with_ecc_at_most(g, pe)
+        assert pe == 0 or not dp_has_path_with_ecc_at_most(g, pe - 1)
+        values.append(pe)
+    assert min(values) == 0 and max(values) >= 2
 
 
 # n = 14..16: bipartite graphs keeping ~85% of the edges between parts too

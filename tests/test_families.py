@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     graph_strategy,
@@ -23,7 +24,6 @@ from pathecc.families import (
     FIG_C_PARTIAL,
     Graph6Error,
     _all_graphs_upto_iso,
-    _certificate,
     _extend,
     canonical_key,
     clique,
@@ -244,7 +244,7 @@ def test_enumerate_connected_yields_nonisomorphic_connected(connected_upto_5):
 
 
 # sha256 of the n <= 7 corpus as one graph6 line per graph, newline-joined
-CORPUS7_SHA256 = "1084b53d68534a267e6605b5c1e64fd99d891599eb8f66804d10bd951ff56917"
+CORPUS7_SHA256 = "442ef4b341972d3d89c8604321e47b0064b9e9e1e1422f514fe5cf4909605703"
 
 
 def test_enumeration_corpus_is_byte_stable(connected_upto_7):
@@ -260,7 +260,7 @@ INVARIANTS7_SHA256 = "831335d52e16d7cec63bbff6ac26eb69ecd4d4cb47e4e9cbf993d81237
 def test_corpus_invariants_are_label_free(connected_upto_7):
     lines = sorted(
         repr((
-            families._certificate(g.adj_masks, g.n),
+            canonical_key(g),
             pe_exact(g).value,
             min_k_at_free(g),
             find_star_c1p(g) is not None,
@@ -280,6 +280,18 @@ def test_enumerated_graphs_are_collected_after_use():
     assert ref() is None
 
 
+def test_enumeration_leaves_no_garbage_cycles():
+    # each key search ends by deleting its self-referring closure, so
+    # reference counting alone frees it
+    gc.disable()
+    try:
+        gc.collect()
+        list(enumerate_connected(6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _extensions(n):
     """Every graph the enumeration builds on n vertices, in build order."""
     for parent in _all_graphs_upto_iso(n - 1):
@@ -292,14 +304,19 @@ def _extensions(n):
 
 def test_canonical_key_matches_reference_on_every_extension():
     for n in range(2, 7):
-        for g in _extensions(n):
-            assert canonical_key(g) == reference_canonical_key(g)
+        pairs = {(canonical_key(g), reference_canonical_key(g)) for g in _extensions(n)}
+        # one reference class per key and one key per reference class
+        assert len({key for key, _ in pairs}) == len(pairs)
+        assert len({ref for _, ref in pairs}) == len(pairs)
 
 
-@given(graph_strategy(min_n=0, max_n=8))
+@given(graph_strategy(min_n=0, max_n=8), graph_strategy(min_n=0, max_n=8), st.data())
 @settings(max_examples=80, deadline=None)
-def test_canonical_key_matches_reference(g):
-    assert canonical_key(g) == reference_canonical_key(g)
+def test_canonical_key_matches_reference(g, h, data):
+    perm = data.draw(st.permutations(range(h.n)))
+    for a, b in ((g, h), (h, relabel(h, perm))):
+        same = canonical_key(a) == canonical_key(b)
+        assert same == (reference_canonical_key(a) == reference_canonical_key(b))
 
 
 def _g6(graphs):
@@ -355,11 +372,11 @@ def _seeded_levels(seed, count):
 def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
     tried = []
 
-    def recording(masks, m):
-        tried.append(masks[-1])
-        return _certificate(masks, m)
+    def recording(g):
+        tried.append(g.adj_masks[-1])
+        return canonical_key(g)
 
-    monkeypatch.setattr(families, "_certificate", recording)
+    monkeypatch.setattr(families, "canonical_key", recording)
     skipped = 0
     for g in (g for level in _seeded_levels(3, 30) for g in level):
         packed = []
@@ -370,7 +387,7 @@ def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
                 continue
             skipped += 1
             assert image < nbhd
-            assert _cert(_child(g, nbhd)) == _cert(_child(g, image))
+            assert canonical_key(_child(g, nbhd)) == canonical_key(_child(g, image))
         tried.clear()
         _extend([g], g.n + 1, connected=False)
         assert tried == packed
@@ -386,10 +403,6 @@ def test_extend_matches_reference_step_and_connected_filter():
         assert _g6(_extend(level, m, connected=True)) == want
 
 
-def _cert(g):
-    return _certificate(g.adj_masks, g.n)
-
-
 def _nx(g):
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
@@ -398,8 +411,8 @@ def _nx(g):
 
 
 def test_certificate_of_tiny_graphs():
-    assert _certificate((), 0) == () == canonical_key(Graph.from_edges(0))
-    assert _certificate((0,), 1) == (0,) == canonical_key(Graph.from_edges(1))
+    assert canonical_key(Graph(0, ())) == () == canonical_key(Graph.from_edges(0))
+    assert canonical_key(Graph(1, (0,))) == (0,) == canonical_key(Graph.from_edges(1))
 
 
 @needs_networkx
@@ -412,7 +425,7 @@ def test_certificate_is_invariant_under_seeded_relabellings():
         rng.shuffle(perm)
         h = relabel(g, perm)
         assert nx.is_isomorphic(_nx(g), _nx(h))
-        assert _cert(g) == _cert(h)
+        assert canonical_key(g) == canonical_key(h)
 
 
 @needs_networkx
@@ -425,7 +438,7 @@ def test_certificate_separates_like_networkx_on_same_edge_counts():
         m = rng.randint(0, len(pairs))
         g, h = (Graph.from_edges(n, rng.sample(pairs, m)) for _ in range(2))
         same = nx.is_isomorphic(_nx(g), _nx(h))
-        assert (_cert(g) == _cert(h)) == same
+        assert (canonical_key(g) == canonical_key(h)) == same
         outcomes.add(same)
     assert outcomes == {True, False}
 
@@ -460,7 +473,7 @@ def test_certificate_on_symmetric_graphs_of_order_9():
     for g in named:
         perm = list(range(9))
         rng.shuffle(perm)
-        assert _cert(g) == _cert(relabel(g, perm))
+        assert canonical_key(g) == canonical_key(relabel(g, perm))
     for i, g in enumerate(named):
         for h in named[i + 1 :]:
-            assert (_cert(g) == _cert(h)) == nx.is_isomorphic(_nx(g), _nx(h))
+            assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(_nx(g), _nx(h))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pathecc.suite
+from pathecc.asteroidal import find_k_at
 from pathecc.central_path import Dichotomy
 from pathecc.families import (
     clique,
@@ -340,6 +341,68 @@ def test_dichotomy_rescores_the_returned_path(monkeypatch, path):
         pathecc.suite, "find_k_dominating_path_or_witness", lambda g, k: Dichotomy(path=path)
     )
     assert _prop_dichotomy(_GraphCase(path_graph(5))) == "k=1: path fails re-verification"
+
+
+@pytest.mark.parametrize(
+    "pid,fields,message",
+    [
+        ("theorem1", {"min_k": 1, "pe": 2}, "1-AT-free but pe=2"),
+        ("theorem3", {"min_k": 2, "pe": 3}, "pe=3 exceeds min k-AT-free level 2"),
+        ("corollary", {"pe": 3}, "ordering witness exists but pe=3"),
+    ],
+)
+def test_pe_properties_report_their_violation(pid, fields, message):
+    case = _GraphCase(path_graph(5))
+    for name, value in fields.items():
+        setattr(case, name, value)
+    assert PROPERTIES[pid](case) == message
+
+
+def test_witness_statements_report_their_obstruction():
+    # called directly, outside the domain step that would skip these graphs
+    assert PROPERTIES["theorem4"](_GraphCase(cycle(9))) == (
+        "ordering witness exists alongside 2-AT (0, 3, 6)"
+    )
+    assert PROPERTIES["c5_free"](_GraphCase(cycle(5))) == (
+        "ordering witness exists alongside induced cycle (0, 1, 2, 3, 4)"
+    )
+
+
+@pytest.mark.parametrize(
+    "graph,min_k,patch,message",
+    [
+        (path_graph(5), 2, ("find_k_dominating_path_or_witness",
+                            lambda g, k: Dichotomy(path=(0, 1, 2, 3, 4))),
+         "k=1: path returned although a 1-AT exists"),
+        (path_graph(5), None, ("has_path_with_ecc_at_most", lambda g, k: None),
+         "k=1: path returned but decision oracle disagrees"),
+        (path_graph(5), None, ("find_k_dominating_path_or_witness",
+                               lambda g, k: Dichotomy(witness=find_k_at(cycle(6), 1))),
+         "k=1: witness returned although graph is 1-AT-free"),
+        (cycle(6), None, ("verify_kat", lambda g, w: False),
+         "k=1: witness fails re-verification"),
+    ],
+    ids=["path-with-at", "oracle-disagrees", "witness-when-free", "witness-fails"],
+)
+def test_dichotomy_reports_each_disagreement(monkeypatch, graph, min_k, patch, message):
+    monkeypatch.setattr(pathecc.suite, *patch)
+    case = _GraphCase(graph)
+    if min_k is not None:
+        case.min_k = min_k
+    assert _prop_dichotomy(case) == message
+
+
+def test_suite_reports_a_violation_with_its_graph6(monkeypatch):
+    monkeypatch.delenv("CPK_THREADS", raising=False)
+    monkeypatch.setattr(pathecc.suite, "has_path_with_ecc_at_most", lambda g, k: None)
+    # C6 has a 1-AT, so its first path, and the disagreement, comes at k = 2
+    report = run_property_suite([cycle(6), path_graph(5)], ["dichotomy"])
+    (res,) = report.results
+    assert (res.checked, res.skipped, report.passed) == (2, 0, False)
+    assert res.violations == (
+        (emit_graph6(cycle(6)), "k=2: path returned but decision oracle disagrees"),
+        (emit_graph6(path_graph(5)), "k=1: path returned but decision oracle disagrees"),
+    )
 
 
 def test_hunt_small_corpora_find_nothing():
