@@ -16,11 +16,11 @@ triple that is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import (
     Graph,
+    _Record,
     _check_vertices,
     _grow_mask,
     _label_components,
@@ -31,14 +31,21 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class KatWitness:
+class KatWitness(_Record):
     """Three vertices plus, for each pair, a path avoiding the third's N^k."""
 
-    triple: tuple[int, int, int]
-    k: int
-    # paths join the sorted-triple pairs in order: (a,b), (a,c), (b,c)
-    paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("triple", "k", "paths")
+
+    def __init__(
+        self,
+        triple: tuple[int, int, int],
+        k: int,
+        # paths join the sorted-triple pairs in order: (a,b), (a,c), (b,c)
+        paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
+    ) -> None:
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "paths", paths)
 
 
 def is_k_at(g: Graph, triple: Iterable[int], k: int) -> Optional[KatWitness]:

@@ -13,13 +13,13 @@ its own checks would refute the paper's proof step, so it raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .asteroidal import KatWitness, find_k_at, verify_kat
 from .families import emit_graph6
 from .graphs import (
     Graph,
+    _Record,
     _grow_mask,
     _mask_of,
     _shortest_path,
@@ -29,34 +29,42 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class ImprovedPath:
-    path: tuple[int, ...]
+class ImprovedPath(_Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple[int, ...]) -> None:
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class Shortened:
-    path: tuple[int, ...]
+class Shortened(_Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple[int, ...]) -> None:
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    witness: KatWitness
+class Certificate(_Record):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: KatWitness) -> None:
+        object.__setattr__(self, "witness", witness)
 
 
 ImproveResult = Union[ImprovedPath, Shortened, Certificate]
 
 
-@dataclass(frozen=True)
-class Dichotomy:
+class Dichotomy(_Record):
     """Exactly one side is present; both sides re-verify against the graph."""
 
-    path: Optional[tuple[int, ...]] = None
-    witness: Optional[KatWitness] = None
+    __slots__ = ("path", "witness")
 
-    def __post_init__(self) -> None:
-        if (self.path is None) == (self.witness is None):
+    def __init__(
+        self, path: Optional[tuple[int, ...]] = None, witness: Optional[KatWitness] = None
+    ) -> None:
+        if (path is None) == (witness is None):
             raise ValueError("a Dichotomy holds exactly one of a path and a witness")
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "witness", witness)
 
 
 TraceSink = Optional[list]

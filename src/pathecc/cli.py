@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from typing import Iterator, Optional, Sequence
 
 from . import eccentricity, star_c1p
@@ -344,6 +343,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"pathecc: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "violation found", so never let one escape
+        import traceback  # only this branch reads it, so start-up does not load it
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"pathecc: internal error: {type(exc).__name__}: {exc} "
               f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)

@@ -21,20 +21,21 @@ toughness condition, "Tough graphs and Hamiltonian circuits", 1973).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, _bits, _mask_of, _sweep, is_connected, is_path
+from .graphs import Graph, _bits, _mask_of, _Record, _sweep, is_connected, is_path
 
 MAX_N = 16
 
 
-@dataclass(frozen=True)
-class PeResult:
+class PeResult(_Record):
     """Minimum achievable path eccentricity together with a path achieving it."""
 
-    value: int
-    witness: tuple[int, ...]
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: int, witness: tuple[int, ...]) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def path_eccentricity(g: Graph, p: Sequence[int]) -> int:

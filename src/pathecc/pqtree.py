@@ -18,19 +18,20 @@ replaces or from the masks the scan has already seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import _bits
+from .graphs import _bits, _Record
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(_Record):
     """A 0/1 matrix stored row-major as nested tuples."""
 
-    rows: int
-    cols: int
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "bits")
+
+    def __init__(self, rows: int, cols: int, bits: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
@@ -80,22 +81,29 @@ def format_matrix(m: BinaryMatrix) -> str:
 
 # --- tree nodes -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
-    row: int
-    leaves: int  # 1 << row, stored so reductions read it for free
+class Leaf(_Record):
+    __slots__ = ("row", "leaves")
+
+    def __init__(self, row: int, leaves: int) -> None:
+        object.__setattr__(self, "row", row)
+        # 1 << row, stored so reductions read it for free
+        object.__setattr__(self, "leaves", leaves)
 
 
-@dataclass(frozen=True)
-class PNode:
-    children: tuple["Node", ...]
-    leaves: int
+class PNode(_Record):
+    __slots__ = ("children", "leaves")
+
+    def __init__(self, children: tuple["Node", ...], leaves: int) -> None:
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "leaves", leaves)
 
 
-@dataclass(frozen=True)
-class QNode:
-    children: tuple["Node", ...]
-    leaves: int
+class QNode(_Record):
+    __slots__ = ("children", "leaves")
+
+    def __init__(self, children: tuple["Node", ...], leaves: int) -> None:
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "leaves", leaves)
 
 
 Node = Union[Leaf, PNode, QNode]
@@ -114,11 +122,13 @@ def _q(children: Sequence[Node], leaves: int) -> Node:
     return QNode(tuple(children), leaves)
 
 
-@dataclass(frozen=True)
-class PQTree:
+class PQTree(_Record):
     """Rooted tree over a fixed leaf set; P children permute, Q children flip."""
 
-    root: Node
+    __slots__ = ("root",)
+
+    def __init__(self, root: Node) -> None:
+        object.__setattr__(self, "root", root)
 
     @classmethod
     def universal(cls, rows: int) -> "PQTree":
@@ -130,15 +140,13 @@ class PQTree:
 def frontier(t: PQTree) -> tuple[int, ...]:
     """Left-to-right leaf order of the tree as stored."""
     out: list[int] = []
-
-    def walk(node: Node) -> None:
+    stack: list[Node] = [t.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Leaf):
             out.append(node.row)
         else:
-            for c in node.children:
-                walk(c)
-
-    walk(t.root)
+            stack.extend(reversed(node.children))
     return tuple(out)
 
 

@@ -11,21 +11,22 @@ corresponds to one leaf of the branch tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, _bits, induced_paths
+from .graphs import Graph, _bits, _Record, induced_paths
 from .pqtree import BinaryMatrix, Leaf, Node, PNode, PQTree, _is_run, pq_reduce
 
 MAX_N = 20
 
 
-@dataclass(frozen=True)
-class OrderingWitness:
+class OrderingWitness(_Record):
     """mu[v] is the rank of vertex v; diagonal lists the closed-neighborhood vertices."""
 
-    mu: tuple[int, ...]
-    diagonal: frozenset[int]
+    __slots__ = ("mu", "diagonal")
+
+    def __init__(self, mu: tuple[int, ...], diagonal: frozenset[int]) -> None:
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "diagonal", diagonal)
 
 
 def partially_augmented_matrix(g: Graph, diagonal: Iterable[int] = ()) -> BinaryMatrix:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
@@ -31,7 +30,7 @@ from .asteroidal import find_k_at, min_k_at_free, verify_kat
 from .central_path import find_k_dominating_path_or_witness
 from .eccentricity import has_path_with_ecc_at_most, path_eccentricity, pe_exact
 from .families import emit_graph6
-from .graphs import Graph, find_long_induced_cycle, is_connected, is_path
+from .graphs import Graph, _Record, find_long_induced_cycle, is_connected, is_path
 from .star_c1p import (
     OrderingWitness,
     check_order_lemma,
@@ -40,42 +39,64 @@ from .star_c1p import (
     verify_witness,
 )
 
-@dataclass(frozen=True)
-class PropertyResult:
-    property_id: str
-    checked: int
-    skipped: int
-    violations: tuple[tuple[str, str], ...]  # (graph6, details)
+class PropertyResult(_Record):
+    __slots__ = ("property_id", "checked", "skipped", "violations")
+
+    def __init__(
+        self,
+        property_id: str,
+        checked: int,
+        skipped: int,
+        violations: tuple[tuple[str, str], ...],  # (graph6, details)
+    ) -> None:
+        object.__setattr__(self, "property_id", property_id)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    results: tuple[PropertyResult, ...]
-    wall_time_s: float
+class PropertyReport(_Record):
+    __slots__ = ("results", "wall_time_s")
+
+    def __init__(self, results: tuple[PropertyResult, ...], wall_time_s: float) -> None:
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "wall_time_s", wall_time_s)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    graph6: str
-    witness: OrderingWitness
-    pe_value: int
-    pe_witness: tuple[int, ...]
+class Counterexample(_Record):
+    __slots__ = ("graph6", "witness", "pe_value", "pe_witness")
+
+    def __init__(
+        self, graph6: str, witness: OrderingWitness, pe_value: int, pe_witness: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "graph6", graph6)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "pe_value", pe_value)
+        object.__setattr__(self, "pe_witness", pe_witness)
 
 
-@dataclass(frozen=True)
-class HuntResult:
-    searched: int
-    with_witness: int
-    counterexample: Optional[Counterexample]
-    skipped: int  # empty, oversized or disconnected, so never checked
+class HuntResult(_Record):
+    __slots__ = ("searched", "with_witness", "counterexample", "skipped")
+
+    def __init__(
+        self,
+        searched: int,
+        with_witness: int,
+        counterexample: Optional[Counterexample],
+        skipped: int,  # empty, oversized or disconnected, so never checked
+    ) -> None:
+        object.__setattr__(self, "searched", searched)
+        object.__setattr__(self, "with_witness", with_witness)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "skipped", skipped)
 
     @property
     def checked(self) -> int:

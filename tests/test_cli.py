@@ -496,3 +496,23 @@ def test_fuzz_star_c1p_check_json(capsys, raw):
     assume(not os.path.exists(raw))
     g6 = emit_graph6(fig_example_c())
     _clean_exit(*run(capsys, "star-c1p", g6, f"--check={raw}"))
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_traceback():
+    # a start-up guard that does no timing: importing the CLI must not pull
+    # in these modules beyond what a bare interpreter (and its site .pth
+    # files) already loaded
+    src = str(Path(pathecc.cli.__file__).resolve().parents[1])
+    probe = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    bare = loaded(probe)
+    cli = loaded(f"import sys; sys.path.insert(0, {src!r}); import pathecc.cli; {probe}")
+    assert "pathecc.cli" in cli
+    assert {"dataclasses", "inspect", "traceback"} & (cli - bare) == set()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import permutations
@@ -351,3 +352,18 @@ def test_large_c1p_permutations_are_pinned():
     assert [p is None for p in perms] == [False, True] * 4
     lines = "\n".join(repr(p) for p in perms)
     assert hashlib.sha256(lines.encode()).hexdigest() == LARGE_C1P_SHA256
+
+
+def test_c1p_test_leaves_no_garbage_cycles():
+    # the frontier walk keeps an explicit stack, not a self-referring
+    # closure, so reference counting alone frees what a test allocates
+    negative = BinaryMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]])
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(10):
+            assert has_c1p(FIG_A_ADJACENCY) is not None
+            assert has_c1p(negative) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
