@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, _label_components
+from .graphs import Graph
 from .pqtree import BinaryMatrix
 
 
@@ -173,11 +173,19 @@ def _integral(family: str, what: str, x: float) -> int:
     return int(x)
 
 
+def _count(family: str, what: str, x: float) -> int:
+    k = _integral(family, what, x)
+    if k > _G6_MAX_N:
+        raise ValueError(f"{family}: {what} must be at most {_G6_MAX_N}, got {x!r}")
+    return k
+
+
 def generate(name: str, params: Sequence[float] = ()) -> Graph:
     """Build the member of the named family with the given parameters.
 
     The parameter count must match the family, and count parameters must
-    be integral (5.0 is accepted, 5.7 is not); anything else raises
+    be integral (5.0 is accepted, 5.7 is not) and at most graph6's vertex
+    limit, checked before anything is built; anything else raises
     ValueError.
     """
     if name == "random_gnp":
@@ -185,7 +193,7 @@ def generate(name: str, params: Sequence[float] = ()) -> Graph:
             raise ValueError(
                 f"random_gnp takes 2 or 3 parameters (n, p[, seed]), got {len(params)}"
             )
-        n = _integral(name, "n", params[0])
+        n = _count(name, "n", params[0])
         seed = _integral(name, "seed", params[2]) if len(params) == 3 else 0
         return random_gnp(n, float(params[1]), seed)
     if name not in _FAMILY_BUILDERS:
@@ -196,12 +204,14 @@ def generate(name: str, params: Sequence[float] = ()) -> Graph:
             f"{name} takes {len(names)} parameter(s) ({', '.join(names) or 'none'}), "
             f"got {len(params)}"
         )
-    return build(*(_integral(name, what, x) for what, x in zip(names, params)))
+    return build(*(_count(name, what, x) for what, x in zip(names, params)))
 
 
 # --- graph6 ----------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# the largest vertex count of graph6's extended (four-byte) form
+_G6_MAX_N = 258047
 
 
 class Graph6Error(ValueError):
@@ -211,11 +221,11 @@ class Graph6Error(ValueError):
 def _g6_encode_number(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    if n <= 258047:
+    if n <= _G6_MAX_N:
         return chr(126) + "".join(
             chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0)
         )
-    raise ValueError(f"graph6 encoding supports at most 258047 vertices, got {n}")
+    raise ValueError(f"graph6 encoding supports at most {_G6_MAX_N} vertices, got {n}")
 
 
 def emit_graph6(g: Graph) -> str:
@@ -251,7 +261,7 @@ def parse_graph6(line: str) -> Graph:
     if val(0) == 63:  # '~' marks the extended vertex-count forms
         if len(s) >= 2 and val(1) == 63:
             raise Graph6Error(
-                f"graph6 very-long form (>258047 vertices) unsupported at byte {offset}"
+                f"graph6 very-long form (>{_G6_MAX_N} vertices) unsupported at byte {offset}"
             )
         if len(s) < 4:
             raise Graph6Error(f"truncated graph6 vertex count at byte {offset + len(s)}")
@@ -404,25 +414,23 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     return best
 
 
-def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...]:
-    """The graphs on m vertices one new vertex away from ``level``, up to iso.
+def _extend(level: Sequence[Graph], m: int) -> tuple[Graph, ...]:
+    """The connected graphs on m >= 2 vertices one new vertex away from the
+    connected graphs in ``level``, up to isomorphism.
 
-    Each representative of ``level`` is extended, in order, by the
+    Each representative of ``level`` is extended, in order, by the nonempty
     neighborhoods S of the new vertex m - 1 in numeric order; the first
     extension of each isomorphism class (by :func:`canonical_key`) is kept,
-    in the order the classes are found.  Two cuts skip only extensions that
-    are never the first of their class:
-
-    - S is skipped when some x in S has a twin y < x outside S.  Swapping
-      the twins is an automorphism of the parent, so S - x + y gives an
-      isomorphic child that comes earlier; the first extension of every
-      class is twin-packed.
-    - With ``connected`` set, S must meet every component of the parent, so
-      only the connected classes are built.  Isomorphism preserves
-      connectivity, so each keeps its representative and its place.
+    in the order the classes are found.  Connected parents suffice: every
+    connected graph on m vertices has a non-cut vertex, and deleting it
+    leaves a connected graph on m - 1 vertices.  Nonempty S suffice: the
+    empty S isolates the new vertex, and any other S joins it to the
+    connected parent, so every child is connected.  S is also skipped when
+    some x in S has a twin y < x outside S: swapping the twins is an
+    automorphism of the parent, so S - x + y gives an isomorphic child that
+    comes earlier, and the first extension of every class is twin-packed.
     """
     new = 1 << (m - 1)
-    full = new - 1
     found: dict[tuple[int, ...], Graph] = {}
     for parent in level:
         base = parent.adj_masks
@@ -432,11 +440,8 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
             for x, t in enumerate(_twin_masks(base))
             if t & ((1 << x) - 1)
         ]
-        components = set(_label_components(parent, full)) if connected else ()
-        for nbhd in range(new):
+        for nbhd in range(1, new):
             if any(nbhd & bit and lower & ~nbhd for bit, lower in lower_twins):
-                continue
-            if any(not nbhd & comp for comp in components):
                 continue
             masks = tuple(
                 (row | new) if nbhd >> v & 1 else row for v, row in enumerate(base)
@@ -446,34 +451,27 @@ def _extend(level: Sequence[Graph], m: int, connected: bool) -> tuple[Graph, ...
     return tuple(found.values())
 
 
-def _all_graphs_upto_iso(n: int) -> tuple[Graph, ...]:
-    """All graphs (connected or not) on n >= 0 vertices up to isomorphism.
-
-    Built level by level with :func:`_extend`, keeping only the previous
-    level alive while the next is built.  Each level is in discovery order:
-    parents in level order, then new-vertex neighborhoods in numeric order.
-    """
-    level: tuple[Graph, ...] = (Graph.from_edges(0),)
-    for m in range(1, n + 1):
-        level = _extend(level, m, connected=False)
-    return level
-
-
 MAX_ENUMERATION_N = 7
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices up to isomorphism, in a fixed order.
 
-    Levels 0..n-1, from the empty graph, are built complete (a connected
-    class can first arise from a disconnected parent); level n is built
-    connected-only by :func:`_extend`.  The graphs and their discovery
-    order, hence the graph6 bytes, are those of filtering
-    :func:`_all_graphs_upto_iso` by connectivity.  Larger corpora are meant
-    to be supplied as graph6 files, which are streamed.
+    Each level m = 2..n is built by :func:`_extend` from the connected level
+    m - 1, starting at K1, and no disconnected graph is built.  That reaches
+    every class: a connected graph on m >= 2 vertices has a non-cut vertex
+    (a leaf of a spanning tree), and deleting it leaves a connected graph
+    on m - 1 vertices, to which the deleted vertex is joined by a nonempty
+    neighborhood (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 1998).  Each level is in discovery order: parents in level
+    order, then nonempty neighborhoods in numeric order.  Larger corpora
+    are meant to be supplied as graph6 files, which are streamed.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(
             f"built-in enumeration covers 1 <= n <= {MAX_ENUMERATION_N}, got {n}"
         )
-    yield from _extend(_all_graphs_upto_iso(n - 1), n, connected=True)
+    level: tuple[Graph, ...] = (Graph(1, (0,)),)
+    for m in range(2, n + 1):
+        level = _extend(level, m)
+    yield from level

@@ -249,7 +249,7 @@ def test_find_k_at_labels_only_vertices_a_test_reads(monkeypatch):
 
 # sha256 over one line per graph: its graph6, find_k_at for k = 1..4 and,
 # when connected, min_k_at_free; witness paths included byte for byte
-KAT_ANSWERS_SHA256 = "234913e0e6a55f2f16a4acabfb8bd3986d74ae66c55ce8fe506ac33971d1cfb0"
+KAT_ANSWERS_SHA256 = "450bc1660212ad08c1d2aa2ebd83acb6f4902e6a1e092a1a8eb247e7c6309053"
 
 
 def _interleaved_union() -> Graph:

@@ -249,14 +249,14 @@ def test_proof_mode_steps_are_sound(connected_upto_5):
                 p = step.path
 
 
-# sha256 over the connected graphs with n <= 6 and k = 1..3 of every
+# sha256 over the connected graphs with n <= 7 and k = 1..3 of every
 # dichotomy answer with its trace, then every proof-mode step from the seed
-DICHOTOMY_SHA256 = "2a922a3d7285942bb1c99bcb4df986e8bbad9adbbeb28438bbc52cb9668c2cc5"
+DICHOTOMY_SHA256 = "5410ae884261cf499de1de9f6e9b12c4ca9f24288a8e19007fee4874e035d290"
 
 
-def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
+def test_dichotomy_and_proof_steps_are_pinned(connected_upto_7):
     lines = []
-    for g in connected_upto_6:
+    for g in connected_upto_7:
         for k in (1, 2, 3):
             trace: list = []
             d = find_k_dominating_path_or_witness(g, k, trace=trace)
@@ -268,14 +268,14 @@ def test_dichotomy_and_proof_steps_are_pinned(connected_upto_6):
                 if isinstance(step, Certificate):
                     break
                 p = step.path
-    assert len(lines) > 450
+    assert len(lines) == 3041  # 2988 answers and 53 proof steps
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DICHOTOMY_SHA256
 
 
 # sha256 over the connected graphs with n <= 7 and k = 1..3 of every
 # improvement chain seeded with the shortest path s .. t, s <= t
-SEEDED_CHAINS_SHA256 = "50c1ce05445c9ef03e6a8d08d68c04fb3c5351fee30c4a631b4f4fab44c4f7c8"
+SEEDED_CHAINS_SHA256 = "2280f5cbb0903c3426d5ac616f5b9946b2f927187feea40716b40ef8cac60c35"
 
 
 def test_seeded_improvement_chains_are_pinned(connected_upto_7):

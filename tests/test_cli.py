@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pathecc.cli
+import pathecc.families
 import pathecc.suite
 from pathecc.cli import cli_main
 from pathecc.eccentricity import PeResult
@@ -330,6 +331,16 @@ def test_bad_family_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("pathecc: ") and len(err.strip().splitlines()) == 1
+
+
+def test_gen_count_past_graph6s_vertex_limit_exits_2_before_building(capsys, monkeypatch):
+    def build(n):
+        pytest.fail(f"path built with n = {n}")
+
+    monkeypatch.setitem(pathecc.families._FAMILY_BUILDERS, "path", (build, ("n",)))
+    code, out, err = run(capsys, "gen", "path", "1e300")
+    assert code == 2 and out == ""
+    assert err.startswith("pathecc: ") and "at most 258047" in err
 
 
 def test_unexpected_error_exits_2_in_one_line(capsys, monkeypatch):

